@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .config import DEFAULT_TOL_EQ, as_point_array
 from .errors import (
@@ -64,18 +64,13 @@ class LocallyFiniteConfiguration:
         return self.points.shape[1]
 
 
-def _pairwise(points: np.ndarray) -> np.ndarray:
-    d = cdist(points, points)
-    np.fill_diagonal(d, np.inf)
-    return d
-
-
 def separations(u: LocallyFiniteConfiguration | np.ndarray) -> np.ndarray:
     """Distance from each point to the rest of the configuration."""
     pts = u.points if isinstance(u, LocallyFiniteConfiguration) else as_point_array(u)
     if pts.shape[0] < 2:
         raise SingletonConfiguration("separation needs at least two points")
-    return np.min(_pairwise(pts), axis=1)
+    dist, _ = cKDTree(pts).query(pts, k=2)
+    return dist[:, 1]
 
 
 def separation(u: LocallyFiniteConfiguration, i: int) -> float:
@@ -114,12 +109,10 @@ class Chart:
         r = self.radii
         if np.any(r <= 0):
             return False, "radii must be strictly positive"
-        if len(self.base) >= 2:
-            d = _pairwise(self.base.points)
-            if np.any(r[:, None] + r[None, :] > d + slack):
-                return False, "balls B(u_i, eps_i) are not pairwise disjoint"
-            if np.any(2.0 * r[:, None] > d + slack):
-                return False, "a doubled ball B(u_i, 2 eps_i) captures another base point"
+        # 2 eps_i <= sep_i for every i also makes the balls disjoint:
+        # eps_i + eps_j <= (sep_i + sep_j) / 2 <= |u_i - u_j|.
+        if len(self.base) >= 2 and np.any(2.0 * r > separations(self.base) + slack):
+            return False, "a doubled ball B(u_i, 2 eps_i) captures another base point"
         return True, None
 
 
@@ -158,10 +151,8 @@ def chart_apply(c: Chart, z) -> LocallyFiniteConfiguration:
         i = int(np.argmax(norms >= 1.0))
         raise OutOfUnitBall(f"coordinate {i} has norm {norms[i]:.6g} >= 1")
     out = c.base.points + c.radii[:, None] * zz
-    if out.shape[0] >= 2:
-        d = _pairwise(out)
-        if np.min(d) <= 0.0:
-            raise DuplicatePoints("chart image degenerated to coincident points")
+    if out.shape[0] >= 2 and np.min(separations(out)) <= 0.0:
+        raise DuplicatePoints("chart image degenerated to coincident points")
     return LocallyFiniteConfiguration(out, window=c.base.window)
 
 
@@ -176,20 +167,20 @@ def ball_assignment(c: Chart, v, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
     pts = v.points if isinstance(v, LocallyFiniteConfiguration) else as_point_array(v)
     if pts.shape[0] != len(c):
         raise LengthMismatch(f"expected {len(c)} points, got {pts.shape[0]}")
-    d = cdist(pts, c.base.points)  # (points of v) x (balls)
-    on_boundary = np.abs(d - c.radii[None, :]) <= tol_eq
+    # 2 eps_i <= sep_i puts a point that lies in or on ball i at least
+    # eps_i from every other base point, so only the ball of its nearest
+    # base point can hold it or pass through it
+    d, near = cKDTree(c.base.points).query(pts)
+    r = c.radii[near]
+    on_boundary = np.abs(d - r) <= tol_eq
     if np.any(on_boundary):
-        j, i = np.unravel_index(int(np.argmax(on_boundary)), d.shape)
-        raise NotInDomain(f"point {j} lies on the boundary of ball {i} within tol_eq")
-    inside = d < c.radii[None, :]
+        j = int(np.argmax(on_boundary))
+        raise NotInDomain(f"point {j} lies on the boundary of ball {near[j]} within tol_eq")
+    inside = d < r
     pi = np.full(len(c), -1, dtype=np.intp)
-    for j in range(pts.shape[0]):
-        hits = np.flatnonzero(inside[j])
-        if hits.size == 0:
+    for j, i in enumerate(near.tolist()):
+        if not inside[j]:
             raise NotInDomain(f"point {j} lies in no chart ball")
-        if hits.size > 1:
-            raise NotInDomain(f"point {j} lies in several chart balls")
-        i = int(hits[0])
         if pi[i] >= 0:
             raise NotInDomain(f"points {int(pi[i])} and {j} both fall in ball {i}")
         pi[i] = j

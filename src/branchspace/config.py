@@ -16,15 +16,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import CompatibilityViolation, EmptyConfiguration, StratumTooLarge
 
 DEFAULT_TOL_EQ = 1e-9
-
-# Above this cardinality the constructor only rejects exact duplicates
-# (adjacent after sorting); the full O(n^2) tolerance check stays available
-# through validate()/canonicalize().
-_FULL_CHECK_MAX = 2048
 
 
 def as_point(p) -> np.ndarray:
@@ -191,29 +187,28 @@ class Configuration:
             np.array_equal(self.points, other.points)
         )
 
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal
+        return hash((self.points.shape, (self.points + 0.0).tobytes()))
+
     def __repr__(self) -> str:
         return f"Configuration(n={len(self)}, d={self.dimension})"
 
 
 def _check_distinct(points: np.ndarray, tol_eq: float) -> None:
-    """Reject coincident points. Full O(n^2) tolerance scan for small n;
-    for large n only exact duplicates (adjacent in canonical order) are
-    caught."""
+    """Reject coincident points: the closest pair, found by a kd-tree
+    query for each point's two nearest points, must be further apart than
+    tol_eq."""
     n = points.shape[0]
     if n < 2:
         return
-    if n <= _FULL_CHECK_MAX:
-        diffs = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-        np.fill_diagonal(dist, np.inf)
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[i, j] <= tol_eq:
-            raise CompatibilityViolation(int(i), int(j), f"points {i} and {j} coincide within tol_eq={tol_eq:g}")
-    else:
-        same = np.all(points[1:] == points[:-1], axis=1)
-        if np.any(same):
-            k = int(np.argmax(same))
-            raise CompatibilityViolation(k, k + 1, "exact duplicate points")
+    dist, near = cKDTree(points).query(points, k=2)
+    # a point coincident with i may come back ahead of i itself
+    other = np.where(near[:, 0] == np.arange(n), near[:, 1], near[:, 0])
+    i = int(np.argmin(dist[:, 1]))
+    if dist[i, 1] <= tol_eq:
+        i, j = sorted((i, int(other[i])))
+        raise CompatibilityViolation(i, j, f"points {i} and {j} coincide within tol_eq={tol_eq:g}")
 
 
 def validate(

@@ -1,5 +1,5 @@
 """The branched-configuration metric: Hausdorff distance between finite
-point configurations, a uniform-grid index for exact nearest-neighbor
+point configurations, a kd-tree index for exact nearest-neighbor
 queries, and detection of merge/split events along trajectories.
 
 The metric is
@@ -12,13 +12,13 @@ configuration in this metric.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .config import Configuration, DEFAULT_TOL_EQ, as_point, as_point_array
@@ -78,58 +78,22 @@ def hausdorff_distance(u, v, metric=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Uniform-grid spatial index
+# kd-tree index
 # ---------------------------------------------------------------------------
 
-def _estimate_spacing(points: np.ndarray) -> float:
-    """Median nearest-neighbor distance over a deterministic subsample."""
-    n = points.shape[0]
-    if n < 2:
-        return 1.0
-    step = max(1, n // 256)
-    sample = points[::step]
-    nn = np.empty(sample.shape[0])
-    for k in range(0, sample.shape[0], _BLOCK):
-        d = cdist(sample[k : k + _BLOCK], points)
-        d[d == 0.0] = np.inf
-        nn[k : k + _BLOCK] = np.min(d, axis=1)
-    nn = nn[np.isfinite(nn)]
-    med = float(np.median(nn)) if nn.size else 0.0
-    if med > 0.0:
-        return med
-    # degenerate cloud: fall back to a uniform-density estimate
-    span = np.ptp(points, axis=0)
-    vol = float(np.prod(span[span > 0])) if np.any(span > 0) else 0.0
-    if vol > 0.0:
-        return max((vol / n) ** (1.0 / np.count_nonzero(span > 0)), 1e-12)
-    return 1.0
-
-
 class GridIndex:
-    """Uniform-grid hash over one configuration's points.
+    """Exact nearest-neighbor index over one configuration's points.
 
-    Nearest-neighbor queries are exact: the search expands Chebyshev rings
-    of cells and stops once the best distance provably cannot be beaten
-    (every point in ring r+1 is at least r * cell_size away). The structure
+    A kd-tree (scipy's cKDTree) answers every query exactly. The structure
     is immutable after construction and safe for concurrent queries.
     """
 
-    def __init__(self, points, cell_size: float | None = None):
+    def __init__(self, points):
         pts = _points_of(points)
         if pts.shape[0] == 0:
             raise EmptyConfiguration("cannot index an empty configuration")
         self.points = pts
-        self.cell_size = float(cell_size) if cell_size else _estimate_spacing(pts)
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        self.origin = np.min(pts, axis=0)
-        keys = np.floor((pts - self.origin) / self.cell_size).astype(np.int64)
-        cells: dict[tuple, list[int]] = {}
-        for i, key in enumerate(map(tuple, keys)):
-            cells.setdefault(key, []).append(i)
-        self._cells = {k: np.asarray(ix, dtype=np.intp) for k, ix in cells.items()}
-        self._key_lo = keys.min(axis=0)
-        self._key_hi = keys.max(axis=0)
+        self.tree = cKDTree(pts)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -142,77 +106,11 @@ class GridIndex:
         pts = _points_of(u)
         return pts.shape == self.points.shape and bool(np.array_equal(pts, self.points))
 
-    def _cell_of(self, q: np.ndarray) -> np.ndarray:
-        return np.floor((q - self.origin) / self.cell_size).astype(np.int64)
-
-    def _max_ring(self, key: np.ndarray) -> int:
-        return int(np.max(np.maximum(self._key_hi - key, key - self._key_lo).clip(min=0)))
-
-    def _shell_candidates(self, key: np.ndarray, r: int) -> Iterator[np.ndarray]:
-        d = key.shape[0]
-        if r == 0:
-            hit = self._cells.get(tuple(key))
-            if hit is not None:
-                yield hit
-            return
-        for off in itertools.product(range(-r, r + 1), repeat=d):
-            if max(abs(o) for o in off) != r:
-                continue
-            hit = self._cells.get(tuple(key + np.asarray(off)))
-            if hit is not None:
-                yield hit
-
-    def nearest(self, x, stop_below: float | None = None) -> tuple[float, int]:
-        """Exact nearest point of the indexed configuration.
-
-        Returns (distance, index). If `stop_below` is given the search may
-        return early with any (distance, index) whose distance is
-        <= stop_below; this keeps directed-Hausdorff scans cheap without
-        affecting their max.
-        """
-        q = as_point(x)
-        key = self._cell_of(q)
-        best = np.inf
-        best_i = -1
-        r_cap = self._max_ring(key)
-        r = 0
-        while True:
-            # switch to a full scan when the shell has more cells than the
-            # index has occupied cells (far-away or sparse queries)
-            if r > 0 and (2 * r + 1) ** self.dimension > 2 * len(self._cells):
-                for key2, idx in self._cells.items():
-                    lo = np.max(np.abs(np.asarray(key2) - key))
-                    if lo < r:
-                        continue  # already searched
-                    d = np.sqrt(np.sum((self.points[idx] - q) ** 2, axis=1))
-                    k = int(np.argmin(d))
-                    if d[k] < best:
-                        best, best_i = float(d[k]), int(idx[k])
-                return best, best_i
-            for idx in self._shell_candidates(key, r):
-                d = np.sqrt(np.sum((self.points[idx] - q) ** 2, axis=1))
-                k = int(np.argmin(d))
-                if d[k] < best:
-                    best, best_i = float(d[k]), int(idx[k])
-            if stop_below is not None and best <= stop_below:
-                return best, best_i
-            if best <= r * self.cell_size or r > r_cap:
-                # any point in ring r+1 sits at distance >= r*cell_size
-                return best, best_i
-            r += 1
-
-
-# Name used by the rest of the code base and the docs for the index type.
-SpatialIndex = GridIndex
-
-
-def _directed_indexed(a: np.ndarray, idx_b: GridIndex) -> float:
-    worst = 0.0
-    for x in a:
-        d, _ = idx_b.nearest(x, stop_below=worst)
-        if d > worst:
-            worst = d
-    return worst
+    def nearest(self, x) -> tuple[float, int]:
+        """Exact nearest point of the indexed configuration, as
+        (distance, index)."""
+        d, i = self.tree.query(as_point(x))
+        return float(d), int(i)
 
 
 def hausdorff_distance_indexed(
@@ -221,7 +119,7 @@ def hausdorff_distance_indexed(
     idx_u: GridIndex | None = None,
     idx_v: GridIndex | None = None,
 ) -> float:
-    """Same value as hausdorff_distance (within 1e-12), via grid indexes.
+    """Same value as hausdorff_distance (within 1e-12), via kd-tree indexes.
 
     Indexes are built on the fly when not supplied; supplied indexes must
     cover their configurations or IndexMismatch is raised.
@@ -237,7 +135,9 @@ def hausdorff_distance_indexed(
         idx_v = GridIndex(b)
     elif not idx_v.covers(b):
         raise IndexMismatch("idx_v does not cover v")
-    return max(_directed_indexed(a, idx_v), _directed_indexed(b, idx_u))
+    d_ab, _ = idx_v.tree.query(a)
+    d_ba, _ = idx_u.tree.query(b)
+    return float(max(np.max(d_ab), np.max(d_ba)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +261,7 @@ def benchmark(n: int, dimension: int = 2, seed: int = 0) -> dict:
     t1 = time.perf_counter()
     idx_u, idx_v = GridIndex(u), GridIndex(v)
     t2 = time.perf_counter()
-    fast = max(_directed_indexed(u, idx_v), _directed_indexed(v, idx_u))
+    fast = hausdorff_distance_indexed(u, v, idx_u, idx_v)
     t3 = time.perf_counter()
 
     brute_s, build_s, query_s = t1 - t0, t2 - t1, t3 - t2

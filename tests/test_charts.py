@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchspace import (
     Chart,
@@ -19,7 +21,7 @@ from branchspace import (
     transition_jacobian,
     validate,
 )
-from branchspace.charts import chart_from_dict, chart_to_dict
+from branchspace.charts import ball_assignment, chart_from_dict, chart_to_dict
 
 from conftest import random_configuration
 
@@ -101,6 +103,103 @@ def test_chart_invariant_enforced():
         Chart(three_points(), np.array([5.0, 5.0, 5.0]))
     with pytest.raises(ValueError):
         Chart(three_points(), np.array([0.5, -0.5, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# verify and ball_assignment against their n x n definitions
+# ---------------------------------------------------------------------------
+
+def pairwise(a, b):
+    return np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
+
+
+def verify_by_definition(base, r, slack=1e-12):
+    """Radii positive, balls pairwise disjoint, doubled balls free of
+    other base points: every pair checked."""
+    d = pairwise(base, base)
+    np.fill_diagonal(d, np.inf)
+    return bool(
+        np.all(r > 0)
+        and np.all(r[:, None] + r[None, :] <= d + slack)
+        and np.all(2.0 * r[:, None] <= d + slack)
+    )
+
+
+def ball_assignment_by_definition(base, r, pts, tol_eq=1e-9):
+    """pi from every (point, ball) distance, or None when some point is
+    on a boundary, in no ball, in several balls, or shares its ball."""
+    d = pairwise(pts, base)
+    if np.any(np.abs(d - r[None, :]) <= tol_eq):
+        return None
+    pi = np.full(len(r), -1)
+    for j, row in enumerate(d < r[None, :]):
+        hits = np.flatnonzero(row)
+        if hits.size != 1 or pi[hits[0]] >= 0:
+            return None
+        pi[hits[0]] = j
+    return pi
+
+
+@st.composite
+def chart_cases(draw):
+    """A base on jittered integer cells (coordinates below 1e4, where
+    tol_eq is far above the rounding error of a distance), one radius
+    factor per point relative to half its separation, and one probe point
+    per ball: inside, on or near the boundary, outside, or in another ball."""
+    dim = draw(st.integers(1, 3))
+    cell = st.tuples(*[st.integers(-4, 4)] * dim)
+    cells = np.array(draw(st.lists(cell, min_size=2, max_size=10, unique=True)), dtype=float)
+    n = cells.shape[0]
+    unit = st.floats(-0.3, 0.3, allow_nan=False)
+    jitter = np.array(draw(st.lists(st.lists(unit, min_size=dim, max_size=dim), min_size=n, max_size=n)))
+    base = (cells + jitter) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    d = pairwise(base, base)
+    np.fill_diagonal(d, np.inf)
+    if draw(st.booleans()):  # radii within the bound
+        factor = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1.0))
+    else:
+        factor = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.001, 1.5]), st.floats(0.01, 1.5))
+    radii = np.array(draw(st.lists(factor, min_size=n, max_size=n))) * np.min(d, axis=1) / 2.0
+    kinds = ["inside"]
+    if draw(st.booleans()):
+        kinds += ["boundary", "near-boundary", "outside", "other-ball"]
+
+    probes = []
+    for i in range(n):
+        direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        norm = np.linalg.norm(direction)
+        direction = direction / norm if norm > 1e-3 else np.eye(dim)[0]
+        kind = draw(st.sampled_from(kinds))
+        k = draw(st.integers(0, n - 1)) if kind == "other-ball" else i
+        t = {
+            "inside": draw(st.floats(0.0, 0.95)),
+            "boundary": 1.0,
+            "near-boundary": 1.0 + draw(st.sampled_from([-0.5e-9, 0.5e-9])) / max(radii[k], 1e-300),
+            "outside": draw(st.floats(1.05, 3.0)),
+            "other-ball": draw(st.floats(0.0, 0.95)),
+        }[kind]
+        probes.append(base[k] + t * radii[k] * direction)
+    order = draw(st.permutations(range(n)))
+    return base, radii, np.array(probes)[list(order)]
+
+
+@given(chart_cases())
+@settings(deadline=None, max_examples=300)
+def test_verify_and_ball_assignment_match_definitions(case):
+    base, radii, probes = case
+    lfc = LocallyFiniteConfiguration(base)
+    if not verify_by_definition(base, radii):
+        with pytest.raises(ValueError):
+            Chart(lfc, radii)
+        return
+    chart = Chart(lfc, radii)
+    assert chart.verify() == (True, None)
+    want = ball_assignment_by_definition(base, radii, probes)
+    if want is None:
+        with pytest.raises(NotInDomain):
+            ball_assignment(chart, probes)
+    else:
+        assert np.array_equal(ball_assignment(chart, probes), want)
 
 
 # ---------------------------------------------------------------------------

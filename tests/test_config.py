@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchspace import (
+    DEFAULT_TOL_EQ,
     CompatibilityViolation,
     Configuration,
     EmptyConfiguration,
@@ -66,6 +67,54 @@ def test_canonicalize_permutation_invariant_bitwise(cells, dim):
     for perm in itertools.permutations(range(len(cells))):
         again = canonicalize(o.permuted(perm))
         assert np.array_equal(again.points, base.points)
+
+
+# ---------------------------------------------------------------------------
+# Configuration: distinctness and hashing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 2000, 3000])
+def test_configuration_rejects_near_duplicates_at_every_size(n):
+    k = n // 2
+    pts = np.vstack([np.arange(n - 1, dtype=float).reshape(-1, 1), [[k + 1e-11]]])
+    with pytest.raises(CompatibilityViolation) as err:
+        Configuration.from_points(pts)
+    assert err.value.pair == (k, k + 1)
+    assert str(err.value) == f"points {k} and {k + 1} coincide within tol_eq=1e-09"
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=12),
+    st.sampled_from([0.0, 0.5e-9, 2e-9, 0.5]),
+)
+@settings(deadline=None)
+def test_configuration_distinctness_matches_pairwise_oracle(cells, nudge):
+    # integer cells, the last one nudged: coincident, near and clear pairs
+    pts = np.array(cells, dtype=float)
+    pts[-1, 0] += nudge
+    order = np.lexsort(pts.T[::-1])
+    sorted_pts = pts[order]
+    dist = np.sqrt(np.sum((sorted_pts[:, None, :] - sorted_pts[None, :, :]) ** 2, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    closest = np.argwhere(dist == np.min(dist))
+    if np.min(dist) > DEFAULT_TOL_EQ:
+        assert np.array_equal(Configuration.from_points(pts).points, sorted_pts)
+        return
+    with pytest.raises(CompatibilityViolation) as err:
+        Configuration.from_points(pts)
+    i, j = err.value.pair
+    assert i < j and dist[i, j] == np.min(dist)
+    if len(closest) == 2:  # one closest pair, seen from both ends
+        assert (i, j) == tuple(closest[0])
+
+
+def test_equal_configurations_are_one_set_member():
+    a = Configuration.from_points([[0.0, 1.0], [2.0, -0.0]])
+    b = Configuration.from_points([[2.0, 0.0], [0.0, 1.0]])
+    c = Configuration.from_points([[2.0, 0.0]])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, c}) == 2
+    assert {a: "first"}[b] == "first"
 
 
 # ---------------------------------------------------------------------------

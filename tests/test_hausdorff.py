@@ -1,10 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from branchspace import (
+    DEFAULT_TOL_EQ,
     Configuration,
     EmptyConfiguration,
     GridIndex,
@@ -128,8 +132,15 @@ def test_custom_metric_loop():
 
 
 # ---------------------------------------------------------------------------
-# grid index
+# kd-tree index
 # ---------------------------------------------------------------------------
+
+def assert_nearest_is_scan(idx, pts, q):
+    d, i = idx.nearest(q)
+    scan = np.sqrt(np.sum((pts - q) ** 2, axis=1))
+    assert d == float(np.min(scan))
+    assert d == float(scan[i])
+
 
 def test_index_nearest_matches_linear_scan(rng):
     for _ in range(20):
@@ -137,11 +148,17 @@ def test_index_nearest_matches_linear_scan(rng):
         u = random_configuration(rng, int(rng.integers(2, 200)), dim)
         idx = GridIndex(u)
         for _ in range(20):
-            q = rng.uniform(-2.0, 12.0, size=dim)
-            d, i = idx.nearest(q)
-            scan = np.sqrt(np.sum((u.points - q) ** 2, axis=1))
-            assert d == pytest.approx(float(np.min(scan)), abs=0.0)
-            assert d == pytest.approx(float(scan[i]), abs=0.0)
+            assert_nearest_is_scan(idx, u.points, rng.uniform(-2.0, 12.0, size=dim))
+
+    # coordinates 25 orders of magnitude apart: no overflow, exact answers
+    pts = np.array([[0.0], [1e-13], [1e12]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx = GridIndex(pts)
+        for q in (-1.0, 0.0, 2e-13, 4e11, 9e11, 1e12, 3e12):
+            assert_nearest_is_scan(idx, pts, np.array([q]))
+    assert idx.nearest([2e-13]) == (1e-13, 1)
+    assert idx.nearest([9e11]) == (1e11, 2)
 
 
 def test_index_far_query():
@@ -159,6 +176,52 @@ def test_indexed_equals_brute(rng):
         assert hausdorff_distance_indexed(u, v) == pytest.approx(
             hausdorff_distance(u, v), abs=1e-12
         )
+    # 1-d clouds clustered around different centres: every query is far
+    # from the other cloud
+    a = rng.normal(0.0, 1.0, size=(1000, 1))
+    b = rng.normal(50.0, 1.0, size=(1000, 1))
+    assert hausdorff_distance_indexed(a, b) == hausdorff_distance(a, b)
+
+
+# floats across 24 orders of magnitude, so one set can spread 1e12
+COORDINATES = st.builds(
+    lambda m, e: m * 10.0**e,
+    st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+    st.integers(-12, 12),
+)
+
+
+@st.composite
+def point_set_pairs(draw):
+    """Two raw point arrays of one dimension (1..3): free, collinear, or
+    the second made of near-duplicates (within tol_eq) of the first."""
+    dim = draw(st.integers(1, 3))
+    point = st.lists(COORDINATES, min_size=dim, max_size=dim)
+    kind = draw(st.sampled_from(["free", "collinear", "near-duplicates"]))
+    if kind == "collinear":
+        origin, direction = np.array(draw(point)), np.array(draw(point))
+        steps = st.lists(COORDINATES, min_size=1, max_size=20)
+        a = origin + np.array(draw(steps))[:, None] * direction
+        b = origin + np.array(draw(steps))[:, None] * direction
+        return a, b
+    a = np.array(draw(st.lists(point, min_size=1, max_size=20)))
+    if kind == "free":
+        return a, np.array(draw(st.lists(point, min_size=1, max_size=20)))
+    picks = draw(st.lists(st.integers(0, a.shape[0] - 1), min_size=1, max_size=20))
+    offset = st.floats(-DEFAULT_TOL_EQ, DEFAULT_TOL_EQ, allow_nan=False)
+    shifts = draw(st.lists(st.lists(offset, min_size=dim, max_size=dim),
+                           min_size=len(picks), max_size=len(picks)))
+    return a, a[picks] + np.array(shifts)
+
+
+@given(point_set_pairs())
+@example((np.array([[0.5]]), np.array([[-2.0]])))
+@example((np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0, 3.0 + 5e-10], [1e12, 0.0, -1e12]])))
+@settings(deadline=None, max_examples=300)
+def test_indexed_equals_scan_property(pair):
+    a, b = pair
+    assert hausdorff_distance_indexed(a, b) == hausdorff_distance(a, b)
+    assert hausdorff_distance_indexed(b, a) == hausdorff_distance(b, a)
 
 
 def test_indexed_identical_grids():
