@@ -5,7 +5,15 @@ sections: for each parameter a the attractor is a periodic orbit whose
 period doubles as a crosses the cascade values a_1 = 3, a_2 = 1 + sqrt(6),
 ... Orbits are located by forward iteration from the critical point 0.5,
 then polished by Newton's method on x -> map^p(x) - x (the derivative is
-the exact chain-rule product), and reduced to their primitive period.
+the exact chain-rule product), reduced to their primitive period and kept
+only when stable (|multiplier| <= 1 + _STABLE_SLACK).
+
+When no stable period locks in within the first BURN_IN = 10^4 iterates,
+their finite-time Lyapunov exponent (the mean of log|a (1 - 2x)|) decides:
+above CHAOS_EXPONENT = 0.02 the parameter is chaotic at once. Otherwise
+the burn-in grows tenfold up to MAX_BURN_IN = 10^6, as the orbits near the
+cascade's accumulation point need: they converge slowly and their burn-in
+exponent lies just below 0.
 """
 
 from __future__ import annotations
@@ -18,25 +26,27 @@ import numpy as np
 from .errors import ParameterOutOfRange
 
 DEFAULT_ORBIT_TOL = 1e-10
-DEFAULT_BURN_IN = 10_000
+BURN_IN = 10_000
 MAX_BURN_IN = 1_000_000
+CHAOS_EXPONENT = 0.02
 _DETECT_TOL = 1e-5
 _MAX_PERIOD_CAP = 64
 
 # Exactly at a doubling parameter the cycle equation has a multiple root
 # and Newton stalls at the cube root of float noise (~1e-6 off); the
 # reduction threshold absorbs that so the orbit collapses to its true
-# primitive period. Genuine cycles this close to coincidence only occur
-# within ~1e-9 of a doubling parameter, where they are unresolvable anyway.
+# primitive period. Genuine cycles this close to coincidence also occur
+# (the period-48 attractor at a = 3.6551825912956475 has halves 2e-6
+# apart); there the reduced cycle is unstable and is not kept.
 _PRIMITIVE_TOL = 1e-5
+# A cycle exactly at a doubling (multiplier -1) or a saddle-node (+1) is
+# polished to within float noise of +-1 and kept. Beyond the slack a cycle
+# is unstable, and the attractor is another orbit (often the doubled one).
+_STABLE_SLACK = 1e-6
 
 
 def logistic(a: float, x: float) -> float:
     return a * x * (1.0 - x)
-
-
-def logistic_derivative(a: float, x: float) -> float:
-    return a * (1.0 - 2.0 * x)
 
 
 def iterate(a: float, x: float, n: int) -> float:
@@ -88,8 +98,8 @@ def _orbit_multiplier(a: float, points: np.ndarray) -> float:
 def _newton_polish(a: float, p: int, x0: float, tol: float, max_iter: int = 60) -> float | None:
     """Newton on F(x) = map^p(x) - x; F' is the chain-rule product minus 1.
 
-    Returns the polished root, or None when the iteration leaves [0, 1]
-    or fails to converge.
+    Returns the polished root, or None when F' vanishes or the residual
+    |map^p(root) - root| exceeds tol.
     """
     x = float(x0)
     for _ in range(max_iter):
@@ -107,9 +117,9 @@ def _newton_polish(a: float, p: int, x0: float, tol: float, max_iter: int = 60) 
         if not 0.0 <= x_new <= 1.0:
             # bisection-style damping back into the unit interval
             x_new = min(1.0, max(0.0, 0.5 * (x + min(1.0, max(0.0, x_new)))))
-        if abs(x_new - x) <= 1e-15:
-            return x_new
-        x = x_new
+        x, x_old = x_new, x
+        if abs(x - x_old) <= 1e-15:
+            break
     return x if abs(iterate(a, x, p) - x) <= tol else None
 
 
@@ -121,19 +131,31 @@ def _primitive_period(a: float, x: float, p: int, tol: float) -> int:
     return p
 
 
+def _burn_in_exponent(a: float) -> float:
+    """Finite-time Lyapunov exponent: the mean of log|a (1 - 2x)| over the
+    BURN_IN iterates x_1, x_2, ... of x_0 = 0.5 (-inf if one of them is 0.5)."""
+    x, xs = 0.5, []
+    for _ in range(BURN_IN):
+        x = a * x * (1.0 - x)
+        xs.append(x)
+    with np.errstate(divide="ignore"):
+        return float(np.mean(np.log(np.abs(a * (1.0 - 2.0 * np.array(xs))))))
+
+
 def logistic_attractor(
     a: float,
     max_period: int = _MAX_PERIOD_CAP,
     orbit_tol: float = DEFAULT_ORBIT_TOL,
-    burn_in: int = DEFAULT_BURN_IN,
 ) -> PeriodicOrbit | Chaotic:
     """Locate the forward attractor of the logistic map at parameter a.
 
-    Iterates from x0 = 0.5, detects the smallest period whose window
-    residual locks in (extending the burn-in adaptively for slowly
-    converging parameters near the bifurcation points), polishes the orbit
-    by Newton's method and reduces it to the primitive period. Returns
-    Chaotic when no period <= max_period locks in.
+    Iterates BURN_IN steps from x0 = 0.5, then tries each period whose
+    window residual locks in, smallest first: the orbit is polished by
+    Newton's method, reduced to its primitive period and returned when
+    stable. If none is, a burn-in Lyapunov exponent above CHAOS_EXPONENT
+    means Chaotic at once; otherwise the burn-in grows tenfold (for slowly
+    converging parameters near the bifurcation points) until MAX_BURN_IN,
+    after which the result is Chaotic: no stable period <= max_period.
     """
     a = _validate_parameter(a)
     if max_period < 1 or max_period > _MAX_PERIOD_CAP or (max_period & (max_period - 1)) != 0:
@@ -141,7 +163,7 @@ def logistic_attractor(
 
     window_len = 9 * max_period  # 4*max_period comparisons at every lag
     total = 0
-    steps = burn_in
+    steps = BURN_IN
     x = 0.5
     while True:
         x = iterate(a, x, steps)
@@ -150,17 +172,13 @@ def logistic_attractor(
         for k in range(window_len):
             window[k] = x
             x = a * x * (1.0 - x)
-        candidate = None
         for p in range(1, max_period + 1):
             tail = window[-(4 * max_period + p):]
             if np.max(np.abs(tail[p:] - tail[:-p])) <= _DETECT_TOL:
-                candidate = p
-                break
-        if candidate is not None:
-            orbit = _polish_orbit(a, candidate, float(window[-1]), orbit_tol)
-            if orbit is not None:
-                return orbit
-        if total >= MAX_BURN_IN:
+                orbit = _polish_orbit(a, p, float(window[-1]), orbit_tol)
+                if orbit is not None:
+                    return orbit
+        if total >= MAX_BURN_IN or (total == BURN_IN and _burn_in_exponent(a) > CHAOS_EXPONENT):
             return Chaotic(parameter=a, max_period=max_period)
         steps = total * 9  # decade-wise extension for slow convergence
 
@@ -175,28 +193,25 @@ def _cycle_points(a: float, root: float, p: int) -> np.ndarray:
 
 
 def _polish_orbit(a: float, p: int, seed: float, orbit_tol: float) -> PeriodicOrbit | None:
+    """The stable orbit Newton reaches from seed: its primitive reduction
+    if that is stable, else the period-p cycle if stable, else None."""
     root = _newton_polish(a, p, seed, orbit_tol)
-    if root is None or abs(iterate(a, root, p) - root) > orbit_tol:
+    if root is None:
         return None
+    cycles = [(p, root)]
     tol_prim = max(orbit_tol, _PRIMITIVE_TOL)
     q = _primitive_period(a, root, p, tol_prim)
     if q < p:
         reduced = _newton_polish(a, q, root, orbit_tol)
-        if (
-            reduced is not None
-            and abs(iterate(a, reduced, q) - reduced) <= orbit_tol
-            and abs(reduced - root) <= 10.0 * tol_prim
-        ):
-            p, root = q, reduced
-    pts = _cycle_points(a, root, p)
-    start = int(np.argmin(pts))
-    pts = np.roll(pts, -start)
-    return PeriodicOrbit(
-        parameter=a,
-        period=p,
-        points=tuple(float(v) for v in pts),
-        multiplier=_orbit_multiplier(a, pts),
-    )
+        if reduced is not None and abs(reduced - root) <= 10.0 * tol_prim:
+            cycles.insert(0, (q, reduced))
+    for period, x in cycles:
+        pts = _cycle_points(a, x, period)
+        pts = np.roll(pts, -int(np.argmin(pts)))
+        multiplier = _orbit_multiplier(a, pts)
+        if abs(multiplier) <= 1.0 + _STABLE_SLACK:
+            return PeriodicOrbit(a, period, tuple(float(v) for v in pts), multiplier)
+    return None
 
 
 def orbit_for_period(
@@ -215,12 +230,8 @@ def orbit_for_period(
         seeds = (float(seeds),)
     for seed in seeds:
         root = _newton_polish(a, p, float(seed), orbit_tol)
-        if root is None or abs(iterate(a, root, p) - root) > orbit_tol:
-            continue
-        if any(
-            p % q == 0 and abs(iterate(a, root, q) - root) <= 1e-7 for q in range(1, p)
-        ):
-            continue  # landed on a lower-period root
+        if root is None or _primitive_period(a, root, p, 1e-7) < p:
+            continue  # off the branch or on a lower-period root
         pts = _cycle_points(a, root, p)
         return PeriodicOrbit(a, p, tuple(float(v) for v in pts), _orbit_multiplier(a, pts))
     return None

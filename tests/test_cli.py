@@ -171,6 +171,13 @@ def test_bifurcate_csv_fixed_point(capsys):
     assert at_25 == [pytest.approx(0.6, abs=1e-10)]
 
 
+def test_bifurcate_has_no_row_at_four(capsys):
+    # a = 4.0 is chaotic; x0 = 0.5 reaches its unstable fixed point 0 exactly
+    code, out, _ = run(capsys, "bifurcate", "--a-min", "3.99", "--a-max", "4.0", "--steps", "3")
+    assert code == 0
+    assert not any(line.startswith("4.0,") for line in out.splitlines())
+
+
 def test_section_linear_field(capsys):
     code, out, _ = run(
         capsys, "section", "--field", "2.5+1.0*x", "--grid-n", "21", "--format", "json"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,14 @@ from branchspace import (
     bifurcation_points,
     logistic,
     logistic_attractor,
+)
+from branchspace.logistic import (
+    BURN_IN,
+    CHAOS_EXPONENT,
+    DEFAULT_ORBIT_TOL,
+    MAX_BURN_IN,
+    _DETECT_TOL,
+    _polish_orbit,
 )
 
 
@@ -123,6 +132,25 @@ def test_odd_window_is_periodic_not_chaotic():
     assert att.period == 3
 
 
+def test_parameter_four_is_chaotic():
+    # x0 = 0.5 lands exactly on the unstable fixed point 0 (multiplier 4)
+    assert isinstance(logistic_attractor(4.0), Chaotic)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        3.6551825912956475,  # period-24 cycle with multiplier -1.11; attractor period 48
+        3.6817328125,  # period-22 cycle with multiplier -1.32; attractor period 44
+        3.597026171875,  # period-50 cycle with multiplier -1.31; attractor period 100
+        3.5696916384485344,  # 3e-8 above a_6: period-32 cycle with multiplier -1.00007
+    ],
+)
+def test_no_unstable_orbit_is_reported(a):
+    att = logistic_attractor(a)
+    assert isinstance(att, Chaotic) or abs(att.multiplier) <= 1.0
+
+
 def test_parameter_validation():
     with pytest.raises(ParameterOutOfRange):
         logistic_attractor(0.0)
@@ -177,3 +205,84 @@ def test_k_max_validation():
         bifurcation_points(0)
     with pytest.raises(ValueError):
         bifurcation_points(7)
+
+
+# ---------------------------------------------------------------------------
+# early chaos verdict
+# ---------------------------------------------------------------------------
+
+def escalation_oracle(a, max_period=64, orbit_tol=DEFAULT_ORBIT_TOL):
+    """logistic_attractor without the early verdict: a parameter that does
+    not lock in extends its burn-in tenfold up to MAX_BURN_IN."""
+    window_len = 9 * max_period
+    total, steps, x = 0, BURN_IN, 0.5
+    while True:
+        x = iterate_oracle(a, x, steps)
+        total += steps
+        window = np.empty(window_len)
+        for k in range(window_len):
+            window[k] = x
+            x = a * x * (1.0 - x)
+        for p in range(1, max_period + 1):
+            tail = window[-(4 * max_period + p):]
+            if np.max(np.abs(tail[p:] - tail[:-p])) <= _DETECT_TOL:
+                orbit = _polish_orbit(a, p, float(window[-1]), orbit_tol)
+                if orbit is not None:
+                    return orbit
+        if total >= MAX_BURN_IN:
+            return Chaotic(parameter=a, max_period=max_period)
+        steps = total * 9
+
+
+# Saddle-node onsets of the period-6, 7, 5, 5 and 4 windows (bisection on
+# escalation_oracle's period) and the end of the period-3 window.
+WINDOW_EDGES = (
+    3.6265531615942153,
+    3.701640764146522,
+    3.7381723750730838,
+    3.8568,
+    3.905571870158836,
+    3.9601018826597434,
+)
+S8 = 1.0 + math.sqrt(8.0)  # onset of the period-3 window, intermittent below
+LATE_LOCK = 3.5698912  # period 64, just below its doubling
+
+
+def early_verdict_probes():
+    offsets = [10.0**-e for e in range(3, 8)]
+    probes = [c + s * d for c in bifurcation_points(6) + WINDOW_EDGES for d in offsets for s in (-1, 1)]
+    probes += [S8 + s * 10.0**-e for e in range(3, 9) for s in (-1, 1)]
+    return probes + [LATE_LOCK] + [float(a) for a in np.linspace(3.57, 4.0, 40)]
+
+
+def test_early_verdict_matches_full_escalation():
+    probes = early_verdict_probes()
+    assert [a for a in probes if logistic_attractor(a) != escalation_oracle(a)] == []
+
+
+def test_early_verdict_replaces_escalation_only_for_clear_chaos(monkeypatch):
+    module = sys.modules["branchspace.logistic"]
+    burn_ins = []
+    real_iterate = module.iterate
+
+    def counting_iterate(a, x, n):
+        burn_ins.append(n)
+        return real_iterate(a, x, n)
+
+    monkeypatch.setattr(module, "iterate", counting_iterate)
+
+    def stages(a):
+        burn_ins.clear()
+        att = logistic_attractor(a)
+        return att, [n for n in burn_ins if n >= BURN_IN]
+
+    # clearly chaotic: one burn-in stage, no escalation
+    assert module._burn_in_exponent(3.9) > CHAOS_EXPONENT
+    att, seen = stages(3.9)
+    assert isinstance(att, Chaotic) and seen == [BURN_IN]
+    # just below the period-64 orbit's doubling the burn-in exponent is
+    # slightly negative and the orbit locks in only at MAX_BURN_IN
+    assert module._burn_in_exponent(LATE_LOCK) <= CHAOS_EXPONENT
+    att, seen = stages(LATE_LOCK)
+    assert att.period == 64 and abs(att.multiplier) <= 1.0
+    assert sum(seen) == MAX_BURN_IN
