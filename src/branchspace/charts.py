@@ -14,7 +14,6 @@ restriction to a compact window, which is where all computations happen.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,14 +246,3 @@ def chart_from_dict(obj: dict) -> Chart:
         as_point_array(obj["base"]["points"], dim=int(obj["base"]["dim"]))
     )
     return Chart(base, np.asarray(obj["radii"], dtype=float))
-
-
-def write_chart(c: Chart, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chart_to_dict(c), fh)
-        fh.write("\n")
-
-
-def read_chart(path) -> Chart:
-    with open(path, "r", encoding="utf-8") as fh:
-        return chart_from_dict(json.load(fh))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -21,11 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    DEFAULT_TOL_EQ,
-    Configuration,
-    configuration_from_dict,
-)
+from .config import DEFAULT_TOL_EQ, configuration_from_dict, read_json
 from .charts import LocallyFiniteConfiguration, build_chart, chart_to_dict
 from .errors import BranchSpaceError
 from .hausdorff import (
@@ -48,11 +45,11 @@ from .measure import (
     validate_constant_volume_path,
 )
 from .paths import (
+    branched_path_from_dict,
     branched_path_to_dot,
     coordinate_functions,
     jet_match,
     make_split_loop,
-    read_branched_path,
     validate_branched,
 )
 from .sections import (
@@ -107,7 +104,7 @@ _SCHEMAS = {
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -124,9 +121,12 @@ def _kv_csv(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_configuration(path: str, tol_eq: float) -> Configuration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return configuration_from_dict(json.load(fh), tol_eq=tol_eq)
+def tolerance(text: str) -> float:
+    """argparse type of the tolerance flags: a finite number > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def parse_linear_field(expr: str):
@@ -157,8 +157,8 @@ def cmd_hausdorff(args) -> int:
     if not args.left or not args.right:
         sys.stderr.write("hausdorff: need two configuration files (or --bench N)\n")
         return PARSE_ERROR
-    u = _load_configuration(args.left, args.tol_eq)
-    v = _load_configuration(args.right, args.tol_eq)
+    u = configuration_from_dict(read_json(args.left), tol_eq=args.tol_eq)
+    v = configuration_from_dict(read_json(args.right), tol_eq=args.tol_eq)
     d = hausdorff_distance_indexed(u, v) if args.indexed else hausdorff_distance(u, v)
     result = {"distance": d, "n_left": len(u), "n_right": len(v), "indexed": bool(args.indexed)}
     _emit(args, _kv_csv(result) if args.format == "csv" else _dumps(result))
@@ -175,8 +175,7 @@ def cmd_simulate(args) -> int:
             # time step away from the survivor at the merge sample
             merge_tol = 2.0 / max(args.steps - 1, 1)
     elif args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            traj = trajectory_from_dict(json.load(fh), tol_eq=args.tol_eq)
+        traj = trajectory_from_dict(read_json(args.input), tol_eq=args.tol_eq)
     else:
         sys.stderr.write("simulate: need --demo two-particle-merge or --input FILE\n")
         return PARSE_ERROR
@@ -197,7 +196,7 @@ def cmd_chart(args) -> int:
     if args.demo == "three-points":
         base = LocallyFiniteConfiguration(np.array([[0.0], [1.0], [3.0]]))
     elif args.input:
-        cfg = _load_configuration(args.input, args.tol_eq)
+        cfg = configuration_from_dict(read_json(args.input), tol_eq=args.tol_eq)
         base = LocallyFiniteConfiguration(cfg.points)
     else:
         sys.stderr.write("chart: need --demo three-points or --input FILE\n")
@@ -212,7 +211,7 @@ def cmd_branched_path(args) -> int:
     if args.demo in ("paper-circle", "circle-split"):
         bp = make_split_loop(m=args.samples, final_offset=(0.0, args.perturb))
     elif args.input:
-        bp = read_branched_path(args.input)
+        bp = branched_path_from_dict(read_json(args.input))
     else:
         sys.stderr.write("branched-path: need --demo or --input FILE\n")
         return PARSE_ERROR
@@ -304,15 +303,6 @@ def cmd_measure(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, default_format: str = "json") -> None:
-    p.add_argument("--output", help="write the result here instead of stdout")
-    p.add_argument("--format", choices=["json", "csv", "dot"], default=default_format)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-eq", dest="tol_eq", type=float, default=DEFAULT_TOL_EQ)
-    p.add_argument("--merge-tol", dest="merge_tol", type=float, default=None)
-    p.add_argument("--orbit-tol", dest="orbit_tol", type=float, default=DEFAULT_ORBIT_TOL)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="branchspace", description=__doc__)
     parser.add_argument("--version", action="version", version=f"branchspace {__version__}")
@@ -322,61 +312,70 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("hausdorff", help="distance between two configurations")
-    _add_common(p)
+    def command(name: str, func, help: str, formats: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+        """A subcommand with --output and, for several outputs, --format
+        (the first format is the default)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--output", help="write the result here instead of stdout")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        return p
+
+    def add_tol_eq(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol-eq", dest="tol_eq", type=tolerance, default=DEFAULT_TOL_EQ)
+
+    p = command("hausdorff", cmd_hausdorff, "distance between two configurations", ("json", "csv"))
     p.add_argument("left", nargs="?", help="configuration JSON file")
     p.add_argument("right", nargs="?", help="configuration JSON file")
     p.add_argument("--indexed", action="store_true", help="use the kd-tree index fast path")
     p.add_argument("--bench", type=int, default=None, metavar="N", help="benchmark on N random points")
     p.add_argument("--dim", type=int, default=2, help="dimension for --bench clouds")
-    p.set_defaults(func=cmd_hausdorff)
+    p.add_argument("--seed", type=int, default=0, help="seed for --bench clouds")
+    add_tol_eq(p)
 
-    p = sub.add_parser("simulate", help="detect merge/split events on a trajectory")
-    _add_common(p)
+    p = command("simulate", cmd_simulate, "detect merge/split events on a trajectory", ("json", "csv"))
     p.add_argument("--demo", choices=["two-particle-merge"])
     p.add_argument("--input", help="trajectory JSON file")
     p.add_argument("--steps", type=int, default=11, help="samples for the demo trajectory")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--merge-tol", dest="merge_tol", type=tolerance, default=None)
+    add_tol_eq(p)
 
-    p = sub.add_parser("chart", help="build a chart and verify ball disjointness")
-    _add_common(p)
+    p = command("chart", cmd_chart, "build a chart and verify ball disjointness")
     p.add_argument("--demo", choices=["three-points"])
     p.add_argument("--input", help="configuration JSON file")
-    p.set_defaults(func=cmd_chart)
+    add_tol_eq(p)
 
-    p = sub.add_parser("branched-path", help="validate a branched path; report junction jets")
-    _add_common(p)
+    p = command(
+        "branched-path", cmd_branched_path, "validate a branched path; report junction jets", ("json", "dot")
+    )
     p.add_argument("--demo", choices=["paper-circle", "circle-split"])
     p.add_argument("--input", help="branched path JSON file")
     p.add_argument("--perturb", type=float, default=0.0, help="translate the demo's final segment in y")
     p.add_argument("--samples", type=int, default=256, help="samples per demo segment")
     p.add_argument("--jet-order", dest="jet_order", type=int, default=3)
-    p.set_defaults(func=cmd_branched_path)
+    add_tol_eq(p)
 
-    p = sub.add_parser("bifurcate", help="attractor sweep for diagram plotting")
-    _add_common(p, default_format="csv")
+    p = command("bifurcate", cmd_bifurcate, "attractor sweep for diagram plotting", ("csv", "json"))
     p.add_argument("--a-min", dest="a_min", type=float, required=True)
     p.add_argument("--a-max", dest="a_max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--max-period", dest="max_period", type=int, default=64)
-    p.set_defaults(func=cmd_bifurcate)
+    p.add_argument("--orbit-tol", dest="orbit_tol", type=tolerance, default=DEFAULT_ORBIT_TOL)
 
-    p = sub.add_parser("section", help="equilibrium section over a parameter field")
-    _add_common(p)
+    p = command("section", cmd_section, "equilibrium section over a parameter field")
     p.add_argument("--field", required=True, help="linear field, e.g. '2.5+1.0*x'")
     p.add_argument("--grid-n", dest="grid_n", type=int, default=101)
     p.add_argument("--x-min", dest="x_min", type=float, default=0.0)
     p.add_argument("--x-max", dest="x_max", type=float, default=1.0)
     p.add_argument("--max-period", dest="max_period", type=int, default=64)
-    p.set_defaults(func=cmd_section)
+    p.add_argument("--orbit-tol", dest="orbit_tol", type=tolerance, default=DEFAULT_ORBIT_TOL)
 
-    p = sub.add_parser("measure", help="constant-volume validation of a frame path")
-    _add_common(p)
+    p = command("measure", cmd_measure, "constant-volume validation of a frame path")
     p.add_argument("--demo", choices=["translated-bump", "growing-bump"])
     p.add_argument("--frames", help="directory of grid-function files (sorted by name)")
     p.add_argument("--region", help="grid-function file whose support is the region A")
-    p.add_argument("--tol-supp", dest="tol_supp", type=float, default=DEFAULT_TOL_SUPP)
-    p.set_defaults(func=cmd_measure)
+    p.add_argument("--tol-supp", dest="tol_supp", type=tolerance, default=DEFAULT_TOL_SUPP)
 
     return parser
 

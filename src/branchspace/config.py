@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -50,6 +51,11 @@ def as_point_array(points, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _check_tol_eq(tol_eq: float) -> None:
+    if not 0.0 < tol_eq < math.inf:
+        raise ValueError(f"tol_eq must be finite and positive, got {tol_eq!r}")
+
+
 def euclidean(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
 
@@ -71,8 +77,7 @@ class AmbientSpace:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.tol_eq <= 0:
-            raise ValueError("tol_eq must be positive")
+        _check_tol_eq(self.tol_eq)
         if self.bounds is not None:
             b = np.asarray(self.bounds, dtype=float).reshape(2, self.dimension)
             if not np.all(b[0] <= b[1]):
@@ -163,6 +168,7 @@ class Configuration:
     tol_eq: float = DEFAULT_TOL_EQ
 
     def __post_init__(self):
+        _check_tol_eq(self.tol_eq)
         pts = as_point_array(self.points)
         pts = pts[canonical_order(pts)]
         pts.setflags(write=False)
@@ -295,12 +301,14 @@ def configuration_from_dict(obj: dict, tol_eq: float = DEFAULT_TOL_EQ) -> Config
     return Configuration(pts, tol_eq=tol_eq)
 
 
-def write_configuration(u: Configuration, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(configuration_to_dict(u), fh)
-        fh.write("\n")
-
-
-def read_configuration(path, tol_eq: float = DEFAULT_TOL_EQ) -> Configuration:
+def read_json(path):
+    """The JSON value stored in the file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return configuration_from_dict(json.load(fh), tol_eq=tol_eq)
+        return json.load(fh)
+
+
+def write_json(obj, path) -> None:
+    """Store obj in the file at path as one line of JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+        fh.write("\n")

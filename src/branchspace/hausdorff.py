@@ -21,7 +21,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .config import Configuration, DEFAULT_TOL_EQ, as_point, as_point_array
+from .config import (
+    Configuration,
+    DEFAULT_TOL_EQ,
+    as_point,
+    as_point_array,
+    configuration_from_dict,
+    configuration_to_dict,
+)
 from .errors import EmptyConfiguration, IndexMismatch, NonMonotoneTime
 
 DEFAULT_MERGE_TOL = 10 * DEFAULT_TOL_EQ
@@ -218,16 +225,13 @@ def detect_stratum_events(
 def trajectory_to_dict(traj: Sequence[tuple[float, Configuration]]) -> dict:
     return {
         "times": [float(t) for t, _ in traj],
-        "frames": [{"dim": u.dimension, "points": u.points.tolist()} for _, u in traj],
+        "frames": [configuration_to_dict(u) for _, u in traj],
     }
 
 
 def trajectory_from_dict(obj: dict, tol_eq: float = DEFAULT_TOL_EQ) -> list[tuple[float, Configuration]]:
     times = [float(t) for t in obj["times"]]
-    frames = [
-        Configuration(as_point_array(f["points"], dim=int(f["dim"])), tol_eq=tol_eq)
-        for f in obj["frames"]
-    ]
+    frames = [configuration_from_dict(f, tol_eq=tol_eq) for f in obj["frames"]]
     if len(times) != len(frames):
         raise ValueError("times and frames must have equal length")
     return list(zip(times, frames))

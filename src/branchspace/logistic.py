@@ -6,7 +6,7 @@ period doubles as a crosses the cascade values a_1 = 3, a_2 = 1 + sqrt(6),
 ... Orbits are located by forward iteration from the critical point 0.5,
 then polished by Newton's method on x -> map^p(x) - x (the derivative is
 the exact chain-rule product), reduced to their primitive period and kept
-only when stable (|multiplier| <= 1 + _STABLE_SLACK).
+only when stable (PeriodicOrbit.stable: |multiplier| <= 1 + _STABLE_SLACK).
 
 When no stable period locks in within the first BURN_IN = 10^4 iterates,
 their finite-time Lyapunov exponent (the mean of log|a (1 - 2x)|) decides:
@@ -73,7 +73,8 @@ class PeriodicOrbit:
 
     @property
     def stable(self) -> bool:
-        return abs(self.multiplier) < 1.0
+        """|multiplier| <= 1 + _STABLE_SLACK: neutral cycles count as stable."""
+        return abs(self.multiplier) <= 1.0 + _STABLE_SLACK
 
 
 @dataclass(frozen=True)
@@ -208,9 +209,9 @@ def _polish_orbit(a: float, p: int, seed: float, orbit_tol: float) -> PeriodicOr
     for period, x in cycles:
         pts = _cycle_points(a, x, period)
         pts = np.roll(pts, -int(np.argmin(pts)))
-        multiplier = _orbit_multiplier(a, pts)
-        if abs(multiplier) <= 1.0 + _STABLE_SLACK:
-            return PeriodicOrbit(a, period, tuple(float(v) for v in pts), multiplier)
+        orbit = PeriodicOrbit(a, period, tuple(float(v) for v in pts), _orbit_multiplier(a, pts))
+        if orbit.stable:
+            return orbit
     return None
 
 

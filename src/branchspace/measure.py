@@ -12,13 +12,13 @@ vanish on the region's boundary ring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
 
+from .config import read_json, write_json
 from .errors import GridMismatch, SupportTouchesBoundary
 
 DEFAULT_TOL_SUPP = 1e-12
@@ -295,18 +295,13 @@ def grid_from_dict(obj: dict) -> GridFunction:
 
 
 def write_grid(f: GridFunction, path) -> None:
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(grid_to_dict(f), fh)
-            fh.write("\n")
+    if str(path).endswith(".json"):
+        write_json(grid_to_dict(f), path)
     else:
         write_grid_text(f, path)
 
 
 def read_grid(path) -> GridFunction:
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return grid_from_dict(json.load(fh))
+    if str(path).endswith(".json"):
+        return grid_from_dict(read_json(path))
     return read_grid_text(path)

@@ -11,7 +11,6 @@ differences).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Sequence
@@ -391,14 +390,3 @@ def branched_path_to_dot(bp: BranchedPath, tol_eq: float = DEFAULT_TOL_EQ) -> st
             lines.append(f'  n{i} -> n{i + 1} [label="s{i}.{j}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_branched_path(bp: BranchedPath, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(branched_path_to_dict(bp), fh)
-        fh.write("\n")
-
-
-def read_branched_path(path) -> BranchedPath:
-    with open(path, "r", encoding="utf-8") as fh:
-        return branched_path_from_dict(json.load(fh))

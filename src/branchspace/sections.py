@@ -11,7 +11,6 @@ branch loci.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -253,12 +252,6 @@ def section_to_dict(sample: BranchedSectionSample, loci: Sequence[BranchLocus]) 
         "loci": [locus.to_json_dict() for locus in loci],
         "parameters": None if sample.parameters is None else sample.parameters.tolist(),
     }
-
-
-def write_section(sample: BranchedSectionSample, loci: Sequence[BranchLocus], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(section_to_dict(sample, loci), fh)
-        fh.write("\n")
 
 
 def bifurcation_rows(

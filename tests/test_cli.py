@@ -1,11 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from branchspace import Configuration
-from branchspace.cli import main, parse_linear_field
-from branchspace.config import write_configuration
+from branchspace import Configuration, configuration_to_dict
+from branchspace.cli import build_parser, main, parse_linear_field
+from branchspace.config import write_json
 from branchspace.hausdorff import trajectory_to_dict, two_particle_merge_trajectory
 from branchspace.measure import GridFunction, make_translated_bump_path, write_grid
 
@@ -45,13 +48,95 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+# a valid call of each subcommand, to which one flag is appended
+BASE_ARGV = {
+    "hausdorff": ["hausdorff", "--bench", "10"],
+    "simulate": ["simulate", "--demo", "two-particle-merge"],
+    "chart": ["chart", "--demo", "three-points"],
+    "branched-path": ["branched-path", "--demo", "paper-circle", "--samples", "16"],
+    "bifurcate": ["bifurcate", "--a-min", "2.5", "--a-max", "3.0", "--steps", "3"],
+    "section": ["section", "--field", "2.5", "--grid-n", "3"],
+    "measure": ["measure", "--demo", "translated-bump"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("hausdorff", ["--merge-tol", "0.5"]),
+        ("hausdorff", ["--orbit-tol", "1e-10"]),
+        ("hausdorff", ["--format", "dot"]),
+        ("simulate", ["--seed", "1"]),
+        ("simulate", ["--orbit-tol", "1e-10"]),
+        ("simulate", ["--format", "dot"]),
+        ("chart", ["--format", "csv"]),
+        ("chart", ["--format", "json"]),
+        ("chart", ["--seed", "1"]),
+        ("chart", ["--merge-tol", "0.5"]),
+        ("chart", ["--orbit-tol", "1e-10"]),
+        ("branched-path", ["--seed", "1"]),
+        ("branched-path", ["--merge-tol", "0.5"]),
+        ("branched-path", ["--orbit-tol", "1e-10"]),
+        ("branched-path", ["--format", "csv"]),
+        ("bifurcate", ["--seed", "1"]),
+        ("bifurcate", ["--tol-eq", "1e-9"]),
+        ("bifurcate", ["--merge-tol", "0.5"]),
+        ("bifurcate", ["--format", "dot"]),
+        ("section", ["--format", "json"]),
+        ("section", ["--seed", "1"]),
+        ("section", ["--tol-eq", "1e-9"]),
+        ("section", ["--merge-tol", "0.5"]),
+        ("measure", ["--format", "json"]),
+        ("measure", ["--seed", "1"]),
+        ("measure", ["--tol-eq", "1e-9"]),
+        ("measure", ["--merge-tol", "0.5"]),
+        ("measure", ["--orbit-tol", "1e-10"]),
+    ],
+)
+def test_flag_of_another_subcommand_exits_2(command, flag):
+    build_parser().parse_args(BASE_ARGV[command])
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + flag)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("hausdorff", "--tol-eq"),
+        ("simulate", "--tol-eq"),
+        ("simulate", "--merge-tol"),
+        ("chart", "--tol-eq"),
+        ("branched-path", "--tol-eq"),
+        ("bifurcate", "--orbit-tol"),
+        ("section", "--orbit-tol"),
+        ("measure", "--tol-supp"),
+    ],
+)
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "x"])
+def test_bad_tolerance_exits_2_naming_the_flag(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("branchspace ")]
+    assert len(lines) >= 7
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
 # ---------------------------------------------------------------------------
 # hausdorff
 # ---------------------------------------------------------------------------
 
 def test_hausdorff_files(capsys, tmp_path):
-    write_configuration(Configuration.from_points([[0.0], [2.0]]), tmp_path / "u.json")
-    write_configuration(Configuration.from_points([[1.0]]), tmp_path / "v.json")
+    write_json(configuration_to_dict(Configuration.from_points([[0.0], [2.0]])), tmp_path / "u.json")
+    write_json(configuration_to_dict(Configuration.from_points([[1.0]])), tmp_path / "v.json")
     code, out, _ = run(capsys, "hausdorff", str(tmp_path / "u.json"), str(tmp_path / "v.json"))
     assert code == 0
     assert json.loads(out)["distance"] == 1.0
@@ -179,9 +264,7 @@ def test_bifurcate_has_no_row_at_four(capsys):
 
 
 def test_section_linear_field(capsys):
-    code, out, _ = run(
-        capsys, "section", "--field", "2.5+1.0*x", "--grid-n", "21", "--format", "json"
-    )
+    code, out, _ = run(capsys, "section", "--field", "2.5+1.0*x", "--grid-n", "21")
     assert code == 0
     rec = json.loads(out)
     assert len(rec["grid"]) == 21

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from branchspace import (
     DEFAULT_TOL_EQ,
+    AmbientSpace,
     CompatibilityViolation,
     Configuration,
     EmptyConfiguration,
@@ -23,7 +24,7 @@ from branchspace import (
     symmetrize,
     validate,
 )
-from branchspace.config import read_configuration, write_configuration
+from branchspace.config import read_json, write_json
 
 from conftest import random_configuration
 
@@ -266,10 +267,18 @@ def test_json_roundtrip_canonicalizes(tmp_path):
     assert out == {"dim": 2, "points": [[0.0, 1.0], [1.0, 1.0], [2.0, 0.0]]}
 
     path = tmp_path / "cfg.json"
-    write_configuration(u, path)
-    assert read_configuration(path) == u
+    write_json(configuration_to_dict(u), path)
+    assert configuration_from_dict(read_json(path)) == u
     # file contents are already canonical
     assert json.loads(path.read_text())["points"] == out["points"]
+
+
+@pytest.mark.parametrize("tol_eq", [-1.0, 0.0, math.nan, math.inf])
+def test_nonpositive_or_nonfinite_tol_eq_rejected(tol_eq):
+    with pytest.raises(ValueError, match="tol_eq"):
+        Configuration([[0.0], [0.0]], tol_eq=tol_eq)
+    with pytest.raises(ValueError, match="tol_eq"):
+        AmbientSpace(dimension=1, tol_eq=tol_eq)
 
 
 def test_nonfinite_points_rejected():

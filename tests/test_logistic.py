@@ -1,5 +1,6 @@
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from branchspace import (
     ParameterOutOfRange,
     PeriodicOrbit,
     bifurcation_points,
-    logistic,
     logistic_attractor,
 )
 from branchspace.logistic import (
@@ -19,6 +19,7 @@ from branchspace.logistic import (
     MAX_BURN_IN,
     _DETECT_TOL,
     _polish_orbit,
+    logistic,
 )
 
 
@@ -118,6 +119,13 @@ def test_neutral_parameter_resolves_to_fixed_point():
     assert orbit.period == 1
     assert orbit.points[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert orbit.multiplier == pytest.approx(-1.0, abs=1e-9)
+    assert orbit.stable
+
+
+def test_package_attribute_is_the_logistic_module():
+    import branchspace.logistic as L
+
+    assert isinstance(L, types.ModuleType)
 
 
 def test_chaotic_parameter_flagged():
