@@ -96,78 +96,3 @@ from .measure import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbientSpace",
-    "BranchLocus",
-    "BranchSpaceError",
-    "BranchedPath",
-    "BranchedPathReport",
-    "BranchedSectionSample",
-    "Chaotic",
-    "Chart",
-    "CompatibilityRelation",
-    "CompatibilityViolation",
-    "Configuration",
-    "DEFAULT_MERGE_TOL",
-    "DEFAULT_TOL_EQ",
-    "Decomposition",
-    "DuplicatePoints",
-    "EmptyConfiguration",
-    "EndpointMismatch",
-    "GridFunction",
-    "GridIndex",
-    "GridMismatch",
-    "IndexMismatch",
-    "InsufficientResolution",
-    "JetMatchResult",
-    "LengthMismatch",
-    "LocallyFiniteConfiguration",
-    "NonConstantCardinality",
-    "NonMonotoneTime",
-    "NotAJunction",
-    "NotInDomain",
-    "NotInOverlap",
-    "OrderedConfiguration",
-    "OutOfUnitBall",
-    "ParameterOutOfRange",
-    "PathSegment",
-    "PeriodicOrbit",
-    "SingletonConfiguration",
-    "StratumEvent",
-    "StratumTooLarge",
-    "SupportClass",
-    "SupportTouchesBoundary",
-    "bifurcation_points",
-    "branched_equilibrium_section",
-    "build_chart",
-    "canonicalize",
-    "chart_apply",
-    "chart_invert",
-    "compose",
-    "configuration_from_dict",
-    "configuration_to_dict",
-    "decompose_or_witness",
-    "default_relation",
-    "detect_stratum_events",
-    "dist_to_set",
-    "empirical_average",
-    "euclidean",
-    "euclidean_space",
-    "hausdorff_distance",
-    "hausdorff_distance_indexed",
-    "jet_match",
-    "logistic_attractor",
-    "make_split_loop",
-    "r_equivalent",
-    "separation",
-    "separations",
-    "support_class",
-    "symmetrize",
-    "transition",
-    "transition_jacobian",
-    "two_particle_merge_trajectory",
-    "validate",
-    "validate_branched",
-    "validate_constant_volume_path",
-]

@@ -37,12 +37,11 @@ class LocallyFiniteConfiguration:
     Point order is meaningful here (charts are indexed per point), so no
     canonicalization happens. `window` is an optional (2, d) lo/hi box; by
     construction every compact box inside a finite window meets finitely
-    many points, which is what the certificate records.
+    many points.
     """
 
     points: np.ndarray
     window: np.ndarray | None = None
-    locally_finite_certificate: bool = True
 
     def __post_init__(self):
         pts = as_point_array(self.points)

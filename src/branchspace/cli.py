@@ -167,18 +167,15 @@ def cmd_hausdorff(args) -> int:
 
 def cmd_simulate(args) -> int:
     merge_tol = args.merge_tol
-    if args.demo == "two-particle-merge":
+    if args.demo:
         times = np.linspace(0.0, 1.0, args.steps)
         traj = two_particle_merge_trajectory(times)
         if merge_tol is None:
             # particles close at speed 2, so the vanished points sit one
             # time step away from the survivor at the merge sample
             merge_tol = 2.0 / max(args.steps - 1, 1)
-    elif args.input:
-        traj = trajectory_from_dict(read_json(args.input), tol_eq=args.tol_eq)
     else:
-        sys.stderr.write("simulate: need --demo two-particle-merge or --input FILE\n")
-        return PARSE_ERROR
+        traj = trajectory_from_dict(read_json(args.input), tol_eq=args.tol_eq)
     if merge_tol is None:
         merge_tol = DEFAULT_MERGE_TOL
     events = detect_stratum_events(traj, merge_tol=merge_tol)
@@ -193,14 +190,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_chart(args) -> int:
-    if args.demo == "three-points":
+    if args.demo:
         base = LocallyFiniteConfiguration(np.array([[0.0], [1.0], [3.0]]))
-    elif args.input:
+    else:
         cfg = configuration_from_dict(read_json(args.input), tol_eq=args.tol_eq)
         base = LocallyFiniteConfiguration(cfg.points)
-    else:
-        sys.stderr.write("chart: need --demo three-points or --input FILE\n")
-        return PARSE_ERROR
     # the Chart constructor has verified the radii, disjoint balls included
     chart = build_chart(base, tol_eq=args.tol_eq)
     _emit(args, _dumps(dict(chart_to_dict(chart), disjoint=True)))
@@ -208,13 +202,10 @@ def cmd_chart(args) -> int:
 
 
 def cmd_branched_path(args) -> int:
-    if args.demo in ("paper-circle", "circle-split"):
+    if args.demo:
         bp = make_split_loop(m=args.samples, final_offset=(0.0, args.perturb))
-    elif args.input:
-        bp = branched_path_from_dict(read_json(args.input))
     else:
-        sys.stderr.write("branched-path: need --demo or --input FILE\n")
-        return PARSE_ERROR
+        bp = branched_path_from_dict(read_json(args.input))
 
     report = validate_branched(bp, tol_eq=args.tol_eq)
     if not report.ok:
@@ -275,16 +266,16 @@ def cmd_measure(args) -> int:
         frames, region = make_translated_bump_path()
     elif args.demo == "growing-bump":
         frames, region, _ = make_growing_bump_path()
-    elif args.frames and args.region:
+    elif args.region is None:
+        sys.stderr.write("measure: --frames needs --region FILE\n")
+        return PARSE_ERROR
+    else:
         paths = sorted(Path(args.frames).iterdir())
         frames = [read_grid(p) for p in paths if p.is_file()]
         if not frames:
             sys.stderr.write("measure: no frame files found\n")
             return PARSE_ERROR
         region = support_mask(read_grid(args.region), args.tol_supp)
-    else:
-        sys.stderr.write("measure: need --demo or both --frames DIR and --region FILE\n")
-        return PARSE_ERROR
     report = validate_constant_volume_path(frames, region, tol_supp=args.tol_supp)
     out = {
         "ok": report.ok,
@@ -316,43 +307,59 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with --output and, for several outputs, --format
         (the first format is the default)."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, mode_flags=[])
         p.add_argument("--output", help="write the result here instead of stdout")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         return p
 
+    def mode_flag(p: argparse.ArgumentParser, other: argparse.Action, *names: str, default, **kw):
+        """A flag that the input mode selected by `other` ignores. It parses
+        as None when absent, so that main can reject it next to `other`
+        before filling in `default`."""
+        action = p.add_argument(*names, default=None, **kw)
+        p.get_default("mode_flags").append((p, action, other, default))
+        return action
+
+    def demo_or_input(p: argparse.ArgumentParser, demos: list[str], input_help: str):
+        """The required choice between a demo and an input file."""
+        modes = p.add_mutually_exclusive_group(required=True)
+        return modes.add_argument("--demo", choices=demos), modes.add_argument("--input", help=input_help)
+
     def add_tol_eq(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol-eq", dest="tol_eq", type=tolerance, default=DEFAULT_TOL_EQ)
 
     p = command("hausdorff", cmd_hausdorff, "distance between two configurations", ("json", "csv"))
-    p.add_argument("left", nargs="?", help="configuration JSON file")
+    files = p.add_argument("left", nargs="?", help="configuration JSON file")
     p.add_argument("right", nargs="?", help="configuration JSON file")
-    p.add_argument("--indexed", action="store_true", help="use the kd-tree index fast path")
-    p.add_argument("--bench", type=int, default=None, metavar="N", help="benchmark on N random points")
-    p.add_argument("--dim", type=int, default=2, help="dimension for --bench clouds")
-    p.add_argument("--seed", type=int, default=0, help="seed for --bench clouds")
-    add_tol_eq(p)
+    # not a mutually exclusive group: the value of a mistyped flag would
+    # land in `left` and the conflict would hide the flag's name
+    bench = mode_flag(
+        p, files, "--bench", type=int, metavar="N", default=None, help="benchmark on N random points"
+    )
+    mode_flag(
+        p, bench, "--indexed", action="store_true", default=False, help="use the kd-tree index fast path"
+    )
+    mode_flag(p, bench, "--tol-eq", dest="tol_eq", type=tolerance, default=DEFAULT_TOL_EQ)
+    mode_flag(p, files, "--dim", type=int, default=2, help="dimension for --bench clouds")
+    mode_flag(p, files, "--seed", type=int, default=0, help="seed for --bench clouds")
 
     p = command("simulate", cmd_simulate, "detect merge/split events on a trajectory", ("json", "csv"))
-    p.add_argument("--demo", choices=["two-particle-merge"])
-    p.add_argument("--input", help="trajectory JSON file")
-    p.add_argument("--steps", type=int, default=11, help="samples for the demo trajectory")
+    demo, input_ = demo_or_input(p, ["two-particle-merge"], "trajectory JSON file")
+    mode_flag(p, input_, "--steps", type=int, default=11, help="samples for the demo trajectory")
     p.add_argument("--merge-tol", dest="merge_tol", type=tolerance, default=None)
-    add_tol_eq(p)
+    mode_flag(p, demo, "--tol-eq", dest="tol_eq", type=tolerance, default=DEFAULT_TOL_EQ)
 
     p = command("chart", cmd_chart, "build a chart and verify ball disjointness")
-    p.add_argument("--demo", choices=["three-points"])
-    p.add_argument("--input", help="configuration JSON file")
+    demo_or_input(p, ["three-points"], "configuration JSON file")
     add_tol_eq(p)
 
     p = command(
         "branched-path", cmd_branched_path, "validate a branched path; report junction jets", ("json", "dot")
     )
-    p.add_argument("--demo", choices=["paper-circle", "circle-split"])
-    p.add_argument("--input", help="branched path JSON file")
-    p.add_argument("--perturb", type=float, default=0.0, help="translate the demo's final segment in y")
-    p.add_argument("--samples", type=int, default=256, help="samples per demo segment")
+    _, input_ = demo_or_input(p, ["paper-circle", "circle-split"], "branched path JSON file")
+    mode_flag(p, input_, "--perturb", type=float, default=0.0, help="translate the demo's final segment in y")
+    mode_flag(p, input_, "--samples", type=int, default=256, help="samples per demo segment")
     p.add_argument("--jet-order", dest="jet_order", type=int, default=3)
     add_tol_eq(p)
 
@@ -372,9 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit-tol", dest="orbit_tol", type=tolerance, default=DEFAULT_ORBIT_TOL)
 
     p = command("measure", cmd_measure, "constant-volume validation of a frame path")
-    p.add_argument("--demo", choices=["translated-bump", "growing-bump"])
-    p.add_argument("--frames", help="directory of grid-function files (sorted by name)")
-    p.add_argument("--region", help="grid-function file whose support is the region A")
+    modes = p.add_mutually_exclusive_group(required=True)
+    demo = modes.add_argument("--demo", choices=["translated-bump", "growing-bump"])
+    modes.add_argument("--frames", help="directory of grid-function files (sorted by name)")
+    mode_flag(p, demo, "--region", default=None, help="grid-function file whose support is the region A")
     p.add_argument("--tol-supp", dest="tol_supp", type=tolerance, default=DEFAULT_TOL_SUPP)
 
     return parser
@@ -389,6 +397,12 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return PARSE_ERROR
+    for p, flag, other, default in args.mode_flags:
+        if getattr(args, flag.dest) is None:
+            setattr(args, flag.dest, default)
+        elif getattr(args, other.dest) is not None:
+            name = (other.option_strings or [other.dest])[0]
+            p.error(f"argument {flag.option_strings[0]}: not allowed with argument {name}")
     try:
         return args.func(args)
     except OSError as err:

@@ -250,7 +250,7 @@ def canonicalize(
     if isinstance(o, OrderedConfiguration):
         pts, rel = o.points, o.relation
     else:
-        pts, rel = as_point_array(o), relation if relation is not None else default_relation()
+        pts, rel = as_point_array(o), relation if relation is not None else default_relation(tol_eq)
     ok, pair = validate(pts, rel)
     if not ok:
         raise CompatibilityViolation(*pair)

@@ -44,28 +44,28 @@ def _points_of(v) -> np.ndarray:
     return as_point_array(v)
 
 
+def _scan(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Both directed distances (max over a of the distance to b, and the
+    reverse) in one blocked pass: row minima give the first, a running
+    column minimum the second. Squared distances are rooted once per
+    direction at the end; sqrt is monotone and correctly rounded, so this
+    is bit-identical to reducing rooted distances."""
+    worst = 0.0
+    col = np.full(b.shape[0], np.inf)
+    for lo in range(0, a.shape[0], _BLOCK):
+        d2 = cdist(a[lo : lo + _BLOCK], b, "sqeuclidean")
+        worst = max(worst, float(d2.min(axis=1).max()))
+        np.minimum(col, d2.min(axis=0), out=col)
+    return float(np.sqrt(worst)), float(np.sqrt(col.max()))
+
+
 def dist_to_set(x, v) -> float:
     """Distance from a point to a nonempty configuration: min over its
     points."""
     pts = _points_of(v)
     if pts.shape[0] == 0:
         raise EmptyConfiguration("distance to an empty configuration")
-    q = as_point(x)
-    return float(np.min(np.sqrt(np.sum((pts - q) ** 2, axis=1))))
-
-
-def _directed(a: np.ndarray, b: np.ndarray) -> float:
-    """max over a of the distance to b, by blocked linear scan.
-
-    Scans squared distances and takes one square root at the end: sqrt is
-    monotone and correctly rounded, so the result is bit-identical to
-    reducing rooted distances, minus ~n^2 square roots.
-    """
-    worst = 0.0
-    for lo in range(0, a.shape[0], _BLOCK):
-        d2 = cdist(a[lo : lo + _BLOCK], b, "sqeuclidean")
-        worst = max(worst, float(np.max(np.min(d2, axis=1))))
-    return float(np.sqrt(worst))
+    return _scan(as_point(x)[None, :], pts)[0]
 
 
 def hausdorff_distance(u, v, metric=None) -> float:
@@ -81,7 +81,7 @@ def hausdorff_distance(u, v, metric=None) -> float:
         d_ab = max(min(metric(x, y) for y in b) for x in a)
         d_ba = max(min(metric(x, y) for x in a) for y in b)
         return float(max(d_ab, d_ba))
-    return max(_directed(a, b), _directed(b, a))
+    return max(_scan(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +177,9 @@ def _attribution_clusters(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Map each src point to its nearest dst point (ties resolve to the
     first, i.e. canonically smallest, index); return dst points that
     receive at least two src points."""
-    d = cdist(src, dst)
-    assign = np.argmin(d, axis=1)
+    assign = np.concatenate(
+        [np.argmin(cdist(src[lo : lo + _BLOCK], dst), axis=1) for lo in range(0, src.shape[0], _BLOCK)]
+    )
     counts = np.bincount(assign, minlength=dst.shape[0])
     return dst[counts >= 2]
 
@@ -207,14 +208,11 @@ def detect_stratum_events(
     for k in range(1, len(frames)):
         old, new = frames[k - 1].points, frames[k].points
         n_old, n_new = old.shape[0], new.shape[0]
-        if n_new < n_old and _directed(old, new) <= merge_tol:
-            events.append(
-                StratumEvent(times[k], "merge", n_old, n_new, _attribution_clusters(old, new))
-            )
-        elif n_new > n_old and _directed(new, old) <= merge_tol:
-            events.append(
-                StratumEvent(times[k], "split", n_old, n_new, _attribution_clusters(new, old))
-            )
+        if n_new == n_old:
+            continue
+        kind, src, dst = ("merge", old, new) if n_new < n_old else ("split", new, old)
+        if _scan(src, dst)[0] <= merge_tol:
+            events.append(StratumEvent(times[k], kind, n_old, n_new, _attribution_clusters(src, dst)))
     return events
 
 
@@ -261,7 +259,7 @@ def benchmark(n: int, dimension: int = 2, seed: int = 0) -> dict:
     v = rng.uniform(0.0, side, size=(n, dimension))
 
     t0 = time.perf_counter()
-    brute = max(_directed(u, v), _directed(v, u))
+    brute = hausdorff_distance(u, v)
     t1 = time.perf_counter()
     idx_u, idx_v = GridIndex(u), GridIndex(v)
     t2 = time.perf_counter()

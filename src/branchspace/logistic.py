@@ -227,8 +227,6 @@ def orbit_for_period(
     every seed drifted off the branch onto a lower-period orbit.
     """
     a = _validate_parameter(a)
-    if np.isscalar(seeds):
-        seeds = (float(seeds),)
     for seed in seeds:
         root = _newton_polish(a, p, float(seed), orbit_tol)
         if root is None or _primitive_period(a, root, p, 1e-7) < p:

@@ -57,6 +57,11 @@ BASE_ARGV = {
     "bifurcate": ["bifurcate", "--a-min", "2.5", "--a-max", "3.0", "--steps", "3"],
     "section": ["section", "--field", "2.5", "--grid-n", "3"],
     "measure": ["measure", "--demo", "translated-bump"],
+    # the other input mode, where it has flags of its own (files need not
+    # exist: flags are checked before any file is read)
+    "hausdorff FILES": ["hausdorff", "u.json", "v.json"],
+    "simulate --input": ["simulate", "--input", "traj.json"],
+    "branched-path --input": ["branched-path", "--input", "bp.json"],
 }
 
 
@@ -91,13 +96,29 @@ BASE_ARGV = {
         ("measure", ["--tol-eq", "1e-9"]),
         ("measure", ["--merge-tol", "0.5"]),
         ("measure", ["--orbit-tol", "1e-10"]),
+        # flags of the other input mode, and both modes at once
+        ("hausdorff", ["--tol-eq", "1e-9"]),
+        ("hausdorff", ["--indexed"]),
+        ("hausdorff FILES", ["--seed", "5"]),
+        ("hausdorff FILES", ["--dim", "3"]),
+        ("hausdorff FILES", ["--bench", "10"]),
+        ("simulate", ["--tol-eq", "1e-9"]),
+        ("simulate", ["--input", "traj.json"]),
+        ("simulate --input", ["--steps", "5"]),
+        ("chart", ["--input", "cfg.json"]),
+        ("branched-path", ["--input", "bp.json"]),
+        ("branched-path --input", ["--perturb", "0.1"]),
+        ("branched-path --input", ["--samples", "5"]),
+        ("measure", ["--frames", "frames", "--region", "region.json"]),
+        ("measure", ["--region", "region.json"]),
     ],
 )
-def test_flag_of_another_subcommand_exits_2(command, flag):
+def test_flag_of_another_subcommand_exits_2(capsys, command, flag):
     build_parser().parse_args(BASE_ARGV[command])
     with pytest.raises(SystemExit) as exc:
         main(BASE_ARGV[command] + flag)
     assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

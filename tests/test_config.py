@@ -58,6 +58,16 @@ def test_canonicalize_reports_offending_pair():
     assert err.value.pair == (0, 2)
 
 
+def test_canonicalize_validates_at_its_own_tol_eq():
+    # below the default tolerance it accepts what Configuration accepts
+    c = canonicalize(np.array([[5e-10], [0.0]]), tol_eq=1e-10)
+    assert c == Configuration.from_points([[0.0], [5e-10]], tol_eq=1e-10)
+    # above it, the pair that fails is reported in input order
+    with pytest.raises(CompatibilityViolation) as err:
+        canonicalize(np.array([[5.0], [0.0], [5.0 + 1e-6]]), tol_eq=1e-5)
+    assert err.value.pair == (0, 2)
+
+
 @given(st.lists(st.integers(0, 7), min_size=1, max_size=6, unique=True), st.integers(1, 3))
 @settings(deadline=None)
 def test_canonicalize_permutation_invariant_bitwise(cells, dim):

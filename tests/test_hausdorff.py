@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from branchspace import (
     DEFAULT_TOL_EQ,
+    CompatibilityViolation,
     Configuration,
     EmptyConfiguration,
     GridIndex,
@@ -224,6 +226,62 @@ def test_indexed_equals_scan_property(pair):
     assert hausdorff_distance_indexed(b, a) == hausdorff_distance(b, a)
 
 
+def two_pass_directed(a: np.ndarray, b: np.ndarray) -> float:
+    """max over a of the distance to b by a blocked scan of its own: one
+    direction of the two-pass reference that the one-pass scan must equal
+    bit for bit."""
+    worst = 0.0
+    for lo in range(0, a.shape[0], 256):
+        d2 = cdist(a[lo : lo + 256], b, "sqeuclidean")
+        worst = max(worst, float(np.max(np.min(d2, axis=1))))
+    return float(np.sqrt(worst))
+
+
+def two_pass_events(traj, merge_tol: float) -> list:
+    """(time, kind, location) of each event, by two_pass_directed and a full
+    distance matrix whose argmin sends ties to the lowest dst index."""
+    out = []
+    for (_, u), (t, w) in zip(traj, traj[1:]):
+        kind, src, dst = ("merge", u.points, w.points) if len(w) < len(u) else ("split", w.points, u.points)
+        if len(u) != len(w) and two_pass_directed(src, dst) <= merge_tol:
+            counts = np.bincount(np.argmin(cdist(src, dst), axis=1), minlength=len(dst))
+            out.append((t, kind, dst[counts >= 2].tolist()))
+    return out
+
+
+def assert_one_pass_is_two_pass(a: np.ndarray, b: np.ndarray) -> None:
+    d_ab, d_ba = two_pass_directed(a, b), two_pass_directed(b, a)
+    assert hausdorff_distance(a, b) == max(d_ab, d_ba)
+    assert hausdorff_distance(b, a) == max(d_ba, d_ab)
+    for x in a:
+        assert dist_to_set(x, b) == two_pass_directed(x[None, :], b)
+    try:
+        u, w = (Configuration(np.unique(p, axis=0), tol_eq=5e-324) for p in (a, b))
+    except CompatibilityViolation:
+        return  # two distinct points whose distance underflows to 0
+    # the frames alternate, so one step merges and the next splits (none
+    # at equal sizes); merge_tol is exactly the larger frame's directed
+    # distance to the smaller, so the threshold is met with equality
+    traj = [(0.0, u), (1.0, w), (2.0, u)]
+    big, small = (u, w) if len(u) > len(w) else (w, u)
+    merge_tol = two_pass_directed(big.points, small.points)
+    got = [(e.time, e.kind, e.location.tolist()) for e in detect_stratum_events(traj, merge_tol)]
+    assert got == two_pass_events(traj, merge_tol)
+
+
+@given(point_set_pairs())
+@example((np.array([[0.0], [2.0]]), np.array([[1.0]])))  # an exact tie
+@example((np.array([[-1.0], [1.0], [3.0]]), np.array([[0.0], [2.0]])))  # an attribution tie
+@settings(deadline=None, max_examples=300)
+def test_one_pass_scan_equals_two_pass_property(pair):
+    assert_one_pass_is_two_pass(*pair)
+
+
+def test_one_pass_scan_equals_two_pass_across_blocks(rng):
+    for n, m, d in ((255, 257, 1), (256, 700, 2), (700, 3, 3), (1, 513, 2)):
+        assert_one_pass_is_two_pass(rng.uniform(-5.0, 5.0, size=(n, d)), rng.uniform(-5.0, 5.0, size=(m, d)))
+
+
 def test_indexed_identical_grids():
     side = np.arange(100, dtype=float)
     pts = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)  # 10^4 grid points
@@ -279,6 +337,17 @@ def test_two_particle_merge_at_final_sample():
     target = Configuration.from_points([[0.0]])
     for t, u in traj:
         assert hausdorff_distance(u, target) == pytest.approx(1.0 - t, abs=1e-12)
+
+
+def test_attribution_tie_goes_to_the_lowest_dst_index():
+    # each odd src point is exactly equidistant from two dst points; 601
+    # src points span three scan blocks
+    src = Configuration.from_points(np.arange(601.0))
+    dst = Configuration.from_points(np.arange(0.0, 601.0, 2.0))
+    for traj, kind in (([(0.0, src), (1.0, dst)], "merge"), ([(0.0, dst), (1.0, src)], "split")):
+        (event,) = detect_stratum_events(traj, merge_tol=1.0)
+        assert event.kind == kind
+        assert event.location.tolist() == dst.points[:-1].tolist()
 
 
 def test_split_event_symmetry():
