@@ -8,7 +8,6 @@ grid functions with the constant-volume condition.
 
 from .config import (
     AmbientSpace,
-    CompatibilityRelation,
     Configuration,
     DEFAULT_TOL_EQ,
     OrderedConfiguration,

@@ -29,30 +29,24 @@ from .errors import (
     SingletonConfiguration,
 )
 
+# Chart.verify's allowance for rounding when 2 eps_i equals sep_i
+_VERIFY_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class LocallyFiniteConfiguration:
     """A finite window onto a locally finite configuration.
 
     Point order is meaningful here (charts are indexed per point), so no
-    canonicalization happens. `window` is an optional (2, d) lo/hi box; by
-    construction every compact box inside a finite window meets finitely
-    many points.
+    canonicalization happens.
     """
 
     points: np.ndarray
-    window: np.ndarray | None = None
 
     def __post_init__(self):
         pts = as_point_array(self.points)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.window is not None:
-            w = np.asarray(self.window, dtype=float).reshape(2, pts.shape[1])
-            if not np.all(w[0] <= w[1]):
-                raise ValueError("window lower corner must not exceed upper corner")
-            w.setflags(write=False)
-            object.__setattr__(self, "window", w)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -101,15 +95,15 @@ class Chart:
     def __len__(self) -> int:
         return len(self.base)
 
-    def verify(self, slack: float = 1e-12) -> tuple[bool, str | None]:
-        """Check the radius invariants, with a small slack for equality
+    def verify(self) -> tuple[bool, str | None]:
+        """Check the radius invariants, with _VERIFY_SLACK for equality
         cases (radii from build_chart sit exactly on the bounds)."""
         r = self.radii
         if np.any(r <= 0):
             return False, "radii must be strictly positive"
         # 2 eps_i <= sep_i for every i also makes the balls disjoint:
         # eps_i + eps_j <= (sep_i + sep_j) / 2 <= |u_i - u_j|.
-        if len(self.base) >= 2 and np.any(2.0 * r > separations(self.base) + slack):
+        if len(self.base) >= 2 and np.any(2.0 * r > separations(self.base) + _VERIFY_SLACK):
             return False, "a doubled ball B(u_i, 2 eps_i) captures another base point"
         return True, None
 
@@ -151,7 +145,7 @@ def chart_apply(c: Chart, z) -> LocallyFiniteConfiguration:
     out = c.base.points + c.radii[:, None] * zz
     if out.shape[0] >= 2 and np.min(separations(out)) <= 0.0:
         raise DuplicatePoints("chart image degenerated to coincident points")
-    return LocallyFiniteConfiguration(out, window=c.base.window)
+    return LocallyFiniteConfiguration(out)
 
 
 def ball_assignment(c: Chart, v, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:

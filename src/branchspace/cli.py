@@ -129,6 +129,14 @@ def tolerance(text: str) -> float:
     return value
 
 
+def count(text: str) -> int:
+    """argparse type of the size flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def parse_linear_field(expr: str):
     """Parse 'a' or 'a+b*x' / 'a-b*x' into a callable on grid points
     (x = first coordinate)."""
@@ -335,18 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     # not a mutually exclusive group: the value of a mistyped flag would
     # land in `left` and the conflict would hide the flag's name
     bench = mode_flag(
-        p, files, "--bench", type=int, metavar="N", default=None, help="benchmark on N random points"
+        p, files, "--bench", type=count, metavar="N", default=None, help="benchmark on N random points"
     )
     mode_flag(
         p, bench, "--indexed", action="store_true", default=False, help="use the kd-tree index fast path"
     )
     mode_flag(p, bench, "--tol-eq", dest="tol_eq", type=tolerance, default=DEFAULT_TOL_EQ)
-    mode_flag(p, files, "--dim", type=int, default=2, help="dimension for --bench clouds")
+    mode_flag(p, files, "--dim", type=count, default=2, help="dimension for --bench clouds")
     mode_flag(p, files, "--seed", type=int, default=0, help="seed for --bench clouds")
 
     p = command("simulate", cmd_simulate, "detect merge/split events on a trajectory", ("json", "csv"))
     demo, input_ = demo_or_input(p, ["two-particle-merge"], "trajectory JSON file")
-    mode_flag(p, input_, "--steps", type=int, default=11, help="samples for the demo trajectory")
+    mode_flag(p, input_, "--steps", type=count, default=11, help="samples for the demo trajectory")
     p.add_argument("--merge-tol", dest="merge_tol", type=tolerance, default=None)
     mode_flag(p, demo, "--tol-eq", dest="tol_eq", type=tolerance, default=DEFAULT_TOL_EQ)
 
@@ -359,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _, input_ = demo_or_input(p, ["paper-circle", "circle-split"], "branched path JSON file")
     mode_flag(p, input_, "--perturb", type=float, default=0.0, help="translate the demo's final segment in y")
-    mode_flag(p, input_, "--samples", type=int, default=256, help="samples per demo segment")
+    mode_flag(p, input_, "--samples", type=count, default=256, help="samples per demo segment")
     p.add_argument("--jet-order", dest="jet_order", type=int, default=3)
     add_tol_eq(p)
 

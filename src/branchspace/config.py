@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,62 +64,40 @@ def euclidean(x: np.ndarray, y: np.ndarray) -> float:
 class AmbientSpace:
     """The space the points live in: R^d with a pluggable metric.
 
-    `bounds`, when given, is a (2, d) array of lower/upper corners of an
-    axis-aligned box. The metric must satisfy the usual axioms; this is
-    property-tested rather than enforced per call.
+    The metric must satisfy the usual axioms; this is property-tested
+    rather than enforced per call.
     """
 
     dimension: int
     metric: Callable[[np.ndarray, np.ndarray], float] = euclidean
-    bounds: np.ndarray | None = None
     tol_eq: float = DEFAULT_TOL_EQ
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         _check_tol_eq(self.tol_eq)
-        if self.bounds is not None:
-            b = np.asarray(self.bounds, dtype=float).reshape(2, self.dimension)
-            if not np.all(b[0] <= b[1]):
-                raise ValueError("bounds lower corner must not exceed upper corner")
-            object.__setattr__(self, "bounds", b)
 
     def distance(self, x, y) -> float:
         return self.metric(as_point(x), as_point(y))
-
-    def contains(self, p) -> bool:
-        if self.bounds is None:
-            return True
-        q = as_point(p)
-        return bool(np.all(q >= self.bounds[0]) and np.all(q <= self.bounds[1]))
 
 
 def euclidean_space(dimension: int, tol_eq: float = DEFAULT_TOL_EQ) -> AmbientSpace:
     return AmbientSpace(dimension=dimension, tol_eq=tol_eq)
 
 
-@dataclass(frozen=True)
-class CompatibilityRelation:
-    """Symmetric predicate on point pairs whose truth forces distinctness."""
-
-    predicate: Callable[[np.ndarray, np.ndarray], bool]
-    name: str = "custom"
-
-    def __call__(self, x, y) -> bool:
-        return bool(self.predicate(as_point(x), as_point(y)))
+# A compatibility relation: a symmetric predicate on point pairs whose truth
+# forces distinctness. None means distinct within tol_eq (Configuration's check).
+Relation = Callable[[np.ndarray, np.ndarray], bool]
 
 
 def default_relation(
     tol_eq: float = DEFAULT_TOL_EQ,
     metric: Callable[[np.ndarray, np.ndarray], float] = euclidean,
-) -> CompatibilityRelation:
-    """The default relation: points are compatible iff they are distinct,
-    i.e. further apart than tol_eq."""
-
-    def pred(x, y):
-        return metric(x, y) > tol_eq
-
-    return CompatibilityRelation(pred, name=f"distinct(tol={tol_eq:g})")
+) -> Relation:
+    """The default relation as a predicate: points are compatible iff they
+    are distinct, i.e. further apart than tol_eq. Checking it pair by pair
+    is the slow oracle of `relation=None`."""
+    return lambda x, y: metric(x, y) > tol_eq
 
 
 def canonical_order(points: np.ndarray) -> np.ndarray:
@@ -132,10 +110,11 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class OrderedConfiguration:
     """A finite indexed tuple of points with an attached compatibility
-    relation. Not validated on construction; see validate()/canonicalize()."""
+    relation (None: distinctness). Not validated on construction; see
+    validate()/canonicalize()."""
 
     points: np.ndarray
-    relation: CompatibilityRelation = field(default_factory=default_relation)
+    relation: Relation | None = None
 
     def __post_init__(self):
         pts = as_point_array(self.points)
@@ -202,59 +181,79 @@ class Configuration:
 
 
 def _check_distinct(points: np.ndarray, tol_eq: float) -> None:
-    """Reject coincident points: the closest pair, found by a kd-tree
-    query for each point's two nearest points, must be further apart than
-    tol_eq."""
+    """Reject coincident sorted points: no two adjacent rows may be equal
+    (a kd-tree cannot split a pile of equal points), and then the closest
+    pair, from a kd-tree query for each point's two nearest points, must be
+    further apart than tol_eq."""
     n = points.shape[0]
     if n < 2:
         return
-    dist, near = cKDTree(points).query(points, k=2)
-    # a point coincident with i may come back ahead of i itself
-    other = np.where(near[:, 0] == np.arange(n), near[:, 1], near[:, 0])
-    i = int(np.argmin(dist[:, 1]))
-    if dist[i, 1] <= tol_eq:
+    same = np.flatnonzero(np.all(points[1:] == points[:-1], axis=1))
+    if same.size:
+        i, j = int(same[0]), int(same[0]) + 1
+    else:
+        dist, near = cKDTree(points).query(points, k=2)
+        # a point at distance 0 from i (its square underflowed) may come first
+        other = np.where(near[:, 0] == np.arange(n), near[:, 1], near[:, 0])
+        i = int(np.argmin(dist[:, 1]))
+        if dist[i, 1] > tol_eq:
+            return
         i, j = sorted((i, int(other[i])))
-        raise CompatibilityViolation(i, j, f"points {i} and {j} coincide within tol_eq={tol_eq:g}")
+    raise CompatibilityViolation(i, j, f"points {i} and {j} coincide within tol_eq={tol_eq:g}")
 
 
-def validate(
-    points,
-    relation: CompatibilityRelation | None = None,
-) -> tuple[bool, tuple[int, int] | None]:
+def _distinct_configuration(points: np.ndarray, tol_eq: float) -> Configuration:
+    """Configuration(points, tol_eq); a violation names indices into points."""
+    try:
+        return Configuration(points, tol_eq)
+    except CompatibilityViolation as err:
+        order = canonical_order(points)
+        i, j = sorted(int(order[k]) for k in err.pair)
+        raise CompatibilityViolation(i, j) from None
+
+
+def validate(points, relation: Relation | None = None) -> tuple[bool, tuple[int, int] | None]:
     """Check all unordered pairs against the relation.
 
     Returns (True, None) when every pair is compatible, otherwise
-    (False, (i, j)) with the first violating pair in index order.
+    (False, (i, j)) with i < j. With no relation the points must be
+    distinct within DEFAULT_TOL_EQ, and the pair is a closest one; a
+    relation passed in is checked pair by pair, and the pair is the first
+    violating one in index order.
     """
-    rel = relation if relation is not None else default_relation()
     pts = as_point_array(points)
-    n = pts.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not rel(pts[i], pts[j]):
-                return False, (i, j)
+    if relation is None:
+        try:
+            _distinct_configuration(pts, DEFAULT_TOL_EQ)
+            return True, None
+        except CompatibilityViolation as err:
+            return False, err.pair
+    for i, j in itertools.combinations(range(pts.shape[0]), 2):
+        if not relation(pts[i], pts[j]):
+            return False, (i, j)
     return True, None
 
 
 def canonicalize(
     o: OrderedConfiguration | np.ndarray | Sequence,
-    relation: CompatibilityRelation | None = None,
+    relation: Relation | None = None,
     tol_eq: float = DEFAULT_TOL_EQ,
 ) -> Configuration:
     """Quotient an ordered configuration by permutations.
 
     All orderings of the same point multiset map to the identical canonical
-    Configuration. Raises CompatibilityViolation (with the offending index
-    pair) when any pair fails the relation.
-    """
+    Configuration. Raises CompatibilityViolation with the offending pair of
+    input indices when two points lie within tol_eq, or when a pair fails
+    the relation (an OrderedConfiguration's own, if o is one)."""
     if isinstance(o, OrderedConfiguration):
-        pts, rel = o.points, o.relation
+        pts, relation = o.points, o.relation
     else:
-        pts, rel = as_point_array(o), relation if relation is not None else default_relation(tol_eq)
-    ok, pair = validate(pts, rel)
-    if not ok:
-        raise CompatibilityViolation(*pair)
-    return Configuration(pts, tol_eq=tol_eq)
+        pts = as_point_array(o)
+    if relation is not None:
+        ok, pair = validate(pts, relation)
+        if not ok:
+            raise CompatibilityViolation(*pair)
+    return _distinct_configuration(pts, tol_eq)
 
 
 def symmetrize(

@@ -135,12 +135,9 @@ def _primitive_period(a: float, x: float, p: int, tol: float) -> int:
 def _burn_in_exponent(a: float) -> float:
     """Finite-time Lyapunov exponent: the mean of log|a (1 - 2x)| over the
     BURN_IN iterates x_1, x_2, ... of x_0 = 0.5 (-inf if one of them is 0.5)."""
-    x, xs = 0.5, []
-    for _ in range(BURN_IN):
-        x = a * x * (1.0 - x)
-        xs.append(x)
+    xs = _cycle_points(a, logistic(a, 0.5), BURN_IN)
     with np.errstate(divide="ignore"):
-        return float(np.mean(np.log(np.abs(a * (1.0 - 2.0 * np.array(xs))))))
+        return float(np.mean(np.log(np.abs(a * (1.0 - 2.0 * xs)))))
 
 
 def logistic_attractor(
@@ -169,10 +166,8 @@ def logistic_attractor(
     while True:
         x = iterate(a, x, steps)
         total += steps
-        window = np.empty(window_len)
-        for k in range(window_len):
-            window[k] = x
-            x = a * x * (1.0 - x)
+        window = _cycle_points(a, x, window_len)
+        x = logistic(a, float(window[-1]))
         for p in range(1, max_period + 1):
             tail = window[-(4 * max_period + p):]
             if np.max(np.abs(tail[p:] - tail[:-p])) <= _DETECT_TOL:
@@ -185,12 +180,12 @@ def logistic_attractor(
 
 
 def _cycle_points(a: float, root: float, p: int) -> np.ndarray:
-    pts = np.empty(p)
-    y = root
-    for i in range(p):
-        pts[i] = y
+    """The first p points root, f(root), f(f(root)), ... of the orbit."""
+    pts, y = [], root
+    for _ in range(p):
+        pts.append(y)
         y = a * y * (1.0 - y)
-    return pts
+    return np.array(pts)
 
 
 def _polish_orbit(a: float, p: int, seed: float, orbit_tol: float) -> PeriodicOrbit | None:

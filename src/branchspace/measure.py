@@ -165,16 +165,15 @@ class VolumePathReport:
 def validate_constant_volume_path(
     frames: Sequence[GridFunction],
     region: np.ndarray,
-    ring: np.ndarray | None = None,
     tol_supp: float = DEFAULT_TOL_SUPP,
 ) -> VolumePathReport:
     """Check the constant-volume condition along a discrete path.
 
-    Over each maximal run of consecutive frames that vanish on the ring,
-    the support volume inside the region must not change; frames whose
-    ring is dirty are excluded (the support is crossing the region
-    boundary there). Returns the first in-run index where the volume
-    deviates from the run's initial value.
+    Over each maximal run of consecutive frames that vanish on the ring
+    region_ring(region), the support volume inside the region must not
+    change; frames whose ring is dirty are excluded (the support is
+    crossing the region boundary there). Returns the first in-run index
+    where the volume deviates from the run's initial value.
     """
     if len(frames) == 0:
         raise ValueError("path must contain at least one frame")
@@ -185,12 +184,7 @@ def validate_constant_volume_path(
     region = np.asarray(region, dtype=bool)
     if region.shape != first.shape:
         raise GridMismatch("region mask shape differs from the frames")
-    if ring is None:
-        ring = region_ring(region)
-    else:
-        ring = np.asarray(ring, dtype=bool)
-        if ring.shape != first.shape:
-            raise GridMismatch("ring mask shape differs from the frames")
+    ring = region_ring(region)
 
     cells = []
     clear = []

@@ -142,6 +142,23 @@ def test_bad_tolerance_exits_2_naming_the_flag(capsys, command, flag, value):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("hausdorff", "--bench"),
+        ("hausdorff", "--dim"),
+        ("simulate", "--steps"),
+        ("branched-path", "--samples"),
+    ],
+)
+@pytest.mark.parametrize("value", ["-3", "0", "1.5", "x"])
+def test_bad_count_exits_2_naming_the_flag(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S).group(1)

@@ -119,6 +119,50 @@ def test_configuration_distinctness_matches_pairwise_oracle(cells, nudge):
         assert (i, j) == tuple(closest[0])
 
 
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=2, max_size=12)
+    ),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 0.5e-9, 2e-9, 0.5]),
+    st.sampled_from([DEFAULT_TOL_EQ, 1e-10, 1.0]),
+)
+@settings(deadline=None)
+def test_default_distinctness_matches_the_pairwise_loop(cells, copies, nudge, tol_eq):
+    # integer cells with extra copies of the first (piles of three or more
+    # coincident points), the last one nudged; the loop under
+    # default_relation is the oracle of the kd-tree check
+    pts = np.array(cells + [cells[0]] * copies, dtype=float)
+    pts[-1, 0] += nudge
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+
+    def assert_closest(pair):
+        i, j = pair
+        assert i < j and dist[i, j] == np.min(dist)
+
+    ok, pair = validate(pts)
+    assert ok == validate(pts, default_relation())[0]
+    if not ok:
+        assert_closest(pair)
+    accepted = validate(pts, default_relation(tol_eq))[0]
+    for o in (pts, OrderedConfiguration(pts)):
+        if accepted:
+            assert canonicalize(o, tol_eq=tol_eq) == Configuration(pts, tol_eq)
+            continue
+        with pytest.raises(CompatibilityViolation) as err:
+            canonicalize(o, tol_eq=tol_eq)
+        assert_closest(err.value.pair)
+
+
+def test_a_pile_of_coincident_points_is_rejected_at_once():
+    pts = np.zeros((100_000, 2))
+    assert validate(pts) == (False, (0, 1))
+    with pytest.raises(CompatibilityViolation) as err:
+        Configuration(pts)
+    assert err.value.pair == (0, 1)
+
+
 def test_equal_configurations_are_one_set_member():
     a = Configuration.from_points([[0.0, 1.0], [2.0, -0.0]])
     b = Configuration.from_points([[2.0, 0.0], [0.0, 1.0]])
