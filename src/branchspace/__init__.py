@@ -7,7 +7,6 @@ grid functions with the constant-volume condition.
 """
 
 from .config import (
-    AmbientSpace,
     Configuration,
     DEFAULT_TOL_EQ,
     OrderedConfiguration,
@@ -17,7 +16,6 @@ from .config import (
     default_relation,
     empirical_average,
     euclidean,
-    euclidean_space,
     symmetrize,
     validate,
 )

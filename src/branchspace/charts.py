@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, as_point_array
+from .config import DEFAULT_TOL_EQ, PointTuple, as_point_array
 from .errors import (
     DuplicatePoints,
     LengthMismatch,
@@ -29,31 +29,17 @@ from .errors import (
     SingletonConfiguration,
 )
 
-# Chart.verify's allowance for rounding when 2 eps_i equals sep_i
+# Chart.verify's relative allowance for rounding when 2 eps_i equals sep_i
 _VERIFY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class LocallyFiniteConfiguration:
+@dataclass(frozen=True, eq=False)
+class LocallyFiniteConfiguration(PointTuple):
     """A finite window onto a locally finite configuration.
 
     Point order is meaningful here (charts are indexed per point), so no
     canonicalization happens.
     """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = as_point_array(self.points)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
 
 
 def separations(u: LocallyFiniteConfiguration | np.ndarray) -> np.ndarray:
@@ -70,7 +56,7 @@ def separation(u: LocallyFiniteConfiguration, i: int) -> float:
     return float(separations(u)[i])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chart:
     """Per-point radii eps_i over a base configuration.
 
@@ -96,14 +82,14 @@ class Chart:
         return len(self.base)
 
     def verify(self) -> tuple[bool, str | None]:
-        """Check the radius invariants, with _VERIFY_SLACK for equality
-        cases (radii from build_chart sit exactly on the bounds)."""
+        """Check the radius invariants, with a relative _VERIFY_SLACK for
+        equality cases (radii from build_chart sit exactly on the bounds)."""
         r = self.radii
         if np.any(r <= 0):
             return False, "radii must be strictly positive"
         # 2 eps_i <= sep_i for every i also makes the balls disjoint:
         # eps_i + eps_j <= (sep_i + sep_j) / 2 <= |u_i - u_j|.
-        if len(self.base) >= 2 and np.any(2.0 * r > separations(self.base) + _VERIFY_SLACK):
+        if len(self.base) >= 2 and np.any(2.0 * r > separations(self.base) * (1.0 + _VERIFY_SLACK)):
             return False, "a doubled ball B(u_i, 2 eps_i) captures another base point"
         return True, None
 

@@ -35,7 +35,7 @@ from .hausdorff import (
     trajectory_from_dict,
     two_particle_merge_trajectory,
 )
-from .logistic import DEFAULT_ORBIT_TOL
+from .logistic import DEFAULT_ORBIT_TOL, MAX_PERIODS
 from .measure import (
     DEFAULT_TOL_SUPP,
     make_growing_bump_path,
@@ -45,6 +45,8 @@ from .measure import (
     validate_constant_volume_path,
 )
 from .paths import (
+    MAX_JET_ORDER,
+    MIN_INTERVALS,
     branched_path_from_dict,
     branched_path_to_dot,
     coordinate_functions,
@@ -129,11 +131,27 @@ def tolerance(text: str) -> float:
     return value
 
 
+def finite(text: str) -> float:
+    """argparse type of the coordinate and parameter flags: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def count(text: str) -> int:
     """argparse type of the size flags: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return value
 
 
@@ -211,6 +229,9 @@ def cmd_chart(args) -> int:
 
 def cmd_branched_path(args) -> int:
     if args.demo:
+        least = max(MIN_INTERVALS, 4 * args.jet_order)
+        if args.samples < least:
+            args.parser.error(f"argument --samples: must be at least {least} at --jet-order {args.jet_order}")
         bp = make_split_loop(m=args.samples, final_offset=(0.0, args.perturb))
     else:
         bp = branched_path_from_dict(read_json(args.input))
@@ -315,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with --output and, for several outputs, --format
         (the first format is the default)."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func, mode_flags=[])
+        p.set_defaults(func=func, parser=p, mode_flags=[])
         p.add_argument("--output", help="write the result here instead of stdout")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
@@ -350,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode_flag(p, bench, "--tol-eq", dest="tol_eq", type=tolerance, default=DEFAULT_TOL_EQ)
     mode_flag(p, files, "--dim", type=count, default=2, help="dimension for --bench clouds")
-    mode_flag(p, files, "--seed", type=int, default=0, help="seed for --bench clouds")
+    mode_flag(p, files, "--seed", type=seed, default=0, help="seed for --bench clouds")
 
     p = command("simulate", cmd_simulate, "detect merge/split events on a trajectory", ("json", "csv"))
     demo, input_ = demo_or_input(p, ["two-particle-merge"], "trajectory JSON file")
@@ -366,24 +387,24 @@ def build_parser() -> argparse.ArgumentParser:
         "branched-path", cmd_branched_path, "validate a branched path; report junction jets", ("json", "dot")
     )
     _, input_ = demo_or_input(p, ["paper-circle", "circle-split"], "branched path JSON file")
-    mode_flag(p, input_, "--perturb", type=float, default=0.0, help="translate the demo's final segment in y")
+    mode_flag(p, input_, "--perturb", type=finite, default=0.0, help="translate the demo's final segment in y")
     mode_flag(p, input_, "--samples", type=count, default=256, help="samples per demo segment")
-    p.add_argument("--jet-order", dest="jet_order", type=int, default=3)
+    p.add_argument("--jet-order", dest="jet_order", type=int, choices=range(1, MAX_JET_ORDER + 1), default=3)
     add_tol_eq(p)
 
     p = command("bifurcate", cmd_bifurcate, "attractor sweep for diagram plotting", ("csv", "json"))
-    p.add_argument("--a-min", dest="a_min", type=float, required=True)
-    p.add_argument("--a-max", dest="a_max", type=float, required=True)
+    p.add_argument("--a-min", dest="a_min", type=finite, required=True)
+    p.add_argument("--a-max", dest="a_max", type=finite, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--max-period", dest="max_period", type=int, default=64)
+    p.add_argument("--max-period", dest="max_period", type=int, choices=MAX_PERIODS, default=MAX_PERIODS[-1])
     p.add_argument("--orbit-tol", dest="orbit_tol", type=tolerance, default=DEFAULT_ORBIT_TOL)
 
     p = command("section", cmd_section, "equilibrium section over a parameter field")
     p.add_argument("--field", required=True, help="linear field, e.g. '2.5+1.0*x'")
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=101)
-    p.add_argument("--x-min", dest="x_min", type=float, default=0.0)
-    p.add_argument("--x-max", dest="x_max", type=float, default=1.0)
-    p.add_argument("--max-period", dest="max_period", type=int, default=64)
+    p.add_argument("--grid-n", dest="grid_n", type=count, default=101)
+    p.add_argument("--x-min", dest="x_min", type=finite, default=0.0)
+    p.add_argument("--x-max", dest="x_max", type=finite, default=1.0)
+    p.add_argument("--max-period", dest="max_period", type=int, choices=MAX_PERIODS, default=MAX_PERIODS[-1])
     p.add_argument("--orbit-tol", dest="orbit_tol", type=tolerance, default=DEFAULT_ORBIT_TOL)
 
     p = command("measure", cmd_measure, "constant-volume validation of a frame path")

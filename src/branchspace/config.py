@@ -1,8 +1,9 @@
 """Finite point configurations: ordered tuples, their permutation quotient,
 and symmetrized functionals.
 
-An ordered configuration is a finite sequence of points of R^d that are
-pairwise compatible under a symmetric relation (default: distinctness).
+Points live in Euclidean R^d. An ordered configuration is a finite
+sequence of points that are pairwise compatible under a symmetric relation
+(default: distinctness).
 The unordered quotient is represented canonically by sorting the points in
 lexicographic coordinate order, so value equality of `Configuration` is
 plain array equality.
@@ -60,44 +61,16 @@ def euclidean(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
 
 
-@dataclass(frozen=True)
-class AmbientSpace:
-    """The space the points live in: R^d with a pluggable metric.
-
-    The metric must satisfy the usual axioms; this is property-tested
-    rather than enforced per call.
-    """
-
-    dimension: int
-    metric: Callable[[np.ndarray, np.ndarray], float] = euclidean
-    tol_eq: float = DEFAULT_TOL_EQ
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        _check_tol_eq(self.tol_eq)
-
-    def distance(self, x, y) -> float:
-        return self.metric(as_point(x), as_point(y))
-
-
-def euclidean_space(dimension: int, tol_eq: float = DEFAULT_TOL_EQ) -> AmbientSpace:
-    return AmbientSpace(dimension=dimension, tol_eq=tol_eq)
-
-
 # A compatibility relation: a symmetric predicate on point pairs whose truth
 # forces distinctness. None means distinct within tol_eq (Configuration's check).
 Relation = Callable[[np.ndarray, np.ndarray], bool]
 
 
-def default_relation(
-    tol_eq: float = DEFAULT_TOL_EQ,
-    metric: Callable[[np.ndarray, np.ndarray], float] = euclidean,
-) -> Relation:
+def default_relation(tol_eq: float = DEFAULT_TOL_EQ) -> Relation:
     """The default relation as a predicate: points are compatible iff they
     are distinct, i.e. further apart than tol_eq. Checking it pair by pair
     is the slow oracle of `relation=None`."""
-    return lambda x, y: metric(x, y) > tol_eq
+    return lambda x, y: euclidean(x, y) > tol_eq
 
 
 def canonical_order(points: np.ndarray) -> np.ndarray:
@@ -108,16 +81,16 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class OrderedConfiguration:
-    """A finite indexed tuple of points with an attached compatibility
-    relation (None: distinctness). Not validated on construction; see
-    validate()/canonicalize()."""
+class PointTuple:
+    """A read-only (n, d) array of finite points of R^d, compared by
+    identity."""
 
     points: np.ndarray
-    relation: Relation | None = None
 
     def __post_init__(self):
-        pts = as_point_array(self.points)
+        self._freeze(as_point_array(self.points))
+
+    def _freeze(self, pts: np.ndarray) -> None:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -127,6 +100,15 @@ class OrderedConfiguration:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class OrderedConfiguration(PointTuple):
+    """A finite indexed tuple of points with an attached compatibility
+    relation (None: distinctness). Not validated on construction; see
+    validate()/canonicalize()."""
+
+    relation: Relation | None = None
 
     def permuted(self, sigma: Sequence[int]) -> "OrderedConfiguration":
         idx = np.asarray(sigma, dtype=np.intp)
@@ -136,34 +118,24 @@ class OrderedConfiguration:
 
 
 @dataclass(frozen=True, eq=False)
-class Configuration:
+class Configuration(PointTuple):
     """Canonical representative of an unordered finite configuration.
 
     Points are stored sorted in lexicographic coordinate order, so two
     configurations are equal iff their point arrays are bitwise equal.
     """
 
-    points: np.ndarray
     tol_eq: float = DEFAULT_TOL_EQ
 
     def __post_init__(self):
         _check_tol_eq(self.tol_eq)
         pts = as_point_array(self.points)
-        pts = pts[canonical_order(pts)]
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        _check_distinct(pts, self.tol_eq)
+        self._freeze(pts[canonical_order(pts)])
+        _check_distinct(self.points, self.tol_eq)
 
     @classmethod
     def from_points(cls, points, tol_eq: float = DEFAULT_TOL_EQ) -> "Configuration":
         return cls(as_point_array(points), tol_eq)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):

@@ -68,19 +68,14 @@ def dist_to_set(x, v) -> float:
     return _scan(as_point(x)[None, :], pts)[0]
 
 
-def hausdorff_distance(u, v, metric=None) -> float:
+def hausdorff_distance(u, v) -> float:
     """Hausdorff distance between two nonempty configurations.
 
-    Cardinalities need not agree. With `metric` given, falls back to a
-    plain double loop (small inputs only).
+    Cardinalities need not agree.
     """
     a, b = _points_of(u), _points_of(v)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise EmptyConfiguration("hausdorff distance needs nonempty configurations")
-    if metric is not None:
-        d_ab = max(min(metric(x, y) for y in b) for x in a)
-        d_ba = max(min(metric(x, y) for x in a) for y in b)
-        return float(max(d_ab, d_ba))
     return max(_scan(a, b))
 
 
@@ -101,13 +96,6 @@ class GridIndex:
             raise EmptyConfiguration("cannot index an empty configuration")
         self.points = pts
         self.tree = cKDTree(pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
 
     def covers(self, u) -> bool:
         pts = _points_of(u)
@@ -151,7 +139,7 @@ def hausdorff_distance_indexed(
 # Stratum-crossing events
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratumEvent:
     """A cardinality change along a trajectory, resolved to the sampling
     grid. `location` holds the absorbing (merge) or spawning (split)

@@ -30,7 +30,7 @@ BURN_IN = 10_000
 MAX_BURN_IN = 1_000_000
 CHAOS_EXPONENT = 0.02
 _DETECT_TOL = 1e-5
-_MAX_PERIOD_CAP = 64
+MAX_PERIODS = (1, 2, 4, 8, 16, 32, 64)  # the accepted max_period values
 
 # Exactly at a doubling parameter the cycle equation has a multiple root
 # and Newton stalls at the cube root of float noise (~1e-6 off); the
@@ -142,7 +142,7 @@ def _burn_in_exponent(a: float) -> float:
 
 def logistic_attractor(
     a: float,
-    max_period: int = _MAX_PERIOD_CAP,
+    max_period: int = MAX_PERIODS[-1],
     orbit_tol: float = DEFAULT_ORBIT_TOL,
 ) -> PeriodicOrbit | Chaotic:
     """Locate the forward attractor of the logistic map at parameter a.
@@ -156,8 +156,8 @@ def logistic_attractor(
     after which the result is Chaotic: no stable period <= max_period.
     """
     a = _validate_parameter(a)
-    if max_period < 1 or max_period > _MAX_PERIOD_CAP or (max_period & (max_period - 1)) != 0:
-        raise ValueError(f"max_period must be a power of 2 at most {_MAX_PERIOD_CAP}")
+    if max_period not in MAX_PERIODS:
+        raise ValueError(f"max_period must be a power of 2 at most {MAX_PERIODS[-1]}")
 
     window_len = 9 * max_period  # 4*max_period comparisons at every lag
     total = 0

@@ -243,7 +243,7 @@ def _one_sided_derivative(samples: np.ndarray, order: int, at_start: bool) -> fl
     return float(w @ vals) / h**order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JetMatchResult:
     """Per-order residuals |sum of incoming derivatives - sum of outgoing
     derivatives| of f along the junction's segments. `passed` is True when

@@ -77,7 +77,7 @@ class BranchedSectionSample:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchLocus:
     """A fiber-cardinality change between adjacent base samples.
 
@@ -176,7 +176,7 @@ class ThreadingWitness:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Either n single-valued selections (selections[k][j] = value of
     selection k at base point j) or a witness of non-decomposability at

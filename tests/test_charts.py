@@ -103,6 +103,11 @@ def test_chart_invariant_enforced():
         Chart(three_points(), np.array([5.0, 5.0, 5.0]))
     with pytest.raises(ValueError):
         Chart(three_points(), np.array([0.5, -0.5, 1.0]))
+    # tiny radii over coincident points, and radii five times a tiny gap
+    with pytest.raises(ValueError):
+        Chart(LocallyFiniteConfiguration([[0.0], [0.0], [1.0]]), np.array([1e-13, 1e-13, 0.5]))
+    with pytest.raises(ValueError):
+        Chart(LocallyFiniteConfiguration([[0.0], [1e-13]]), np.array([5e-13, 5e-13]))
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +120,13 @@ def pairwise(a, b):
 
 def verify_by_definition(base, r, slack=1e-12):
     """Radii positive, balls pairwise disjoint, doubled balls free of
-    other base points: every pair checked."""
-    d = pairwise(base, base)
+    other base points: every pair checked, with a relative slack."""
+    d = pairwise(base, base) * (1.0 + slack)
     np.fill_diagonal(d, np.inf)
     return bool(
         np.all(r > 0)
-        and np.all(r[:, None] + r[None, :] <= d + slack)
-        and np.all(2.0 * r[:, None] <= d + slack)
+        and np.all(r[:, None] + r[None, :] <= d)
+        and np.all(2.0 * r[:, None] <= d)
     )
 
 

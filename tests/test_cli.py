@@ -149,6 +149,7 @@ def test_bad_tolerance_exits_2_naming_the_flag(capsys, command, flag, value):
         ("hausdorff", "--dim"),
         ("simulate", "--steps"),
         ("branched-path", "--samples"),
+        ("section", "--grid-n"),
     ],
 )
 @pytest.mark.parametrize("value", ["-3", "0", "1.5", "x"])
@@ -157,6 +158,41 @@ def test_bad_count_exits_2_naming_the_flag(capsys, command, flag, value):
         main(BASE_ARGV[command] + [flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("bifurcate", "--a-min", "nan"),
+        ("bifurcate", "--a-max", "-inf"),
+        ("section", "--x-min", "nan"),
+        ("section", "--x-max", "inf"),
+        ("branched-path", "--perturb", "nan"),
+        ("hausdorff", "--seed", "-1"),
+        ("hausdorff", "--seed", "1.5"),
+        ("branched-path", "--jet-order", "0"),
+        ("branched-path", "--jet-order", "6"),
+        ("bifurcate", "--max-period", "3"),
+        ("section", "--max-period", "128"),
+        # fewer intervals than a segment needs, and than an order-3 jet needs
+        ("branched-path", "--samples", "7"),
+        ("branched-path", "--samples", "11"),
+    ],
+)
+def test_bad_value_exits_2_naming_the_flag(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_least_samples_for_jet_order_accepted(capsys, order):
+    samples = max(8, 4 * order)
+    code, out, _ = run(capsys, "branched-path", "--demo", "circle-split", "--jet-order", str(order),
+                       "--samples", str(samples))
+    assert code == 0
+    assert json.loads(out)["valid"]
 
 
 def test_readme_cli_examples_parse():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from branchspace import (
     DEFAULT_TOL_EQ,
-    AmbientSpace,
     CompatibilityViolation,
     Configuration,
     EmptyConfiguration,
+    LocallyFiniteConfiguration,
     OrderedConfiguration,
     StratumTooLarge,
     canonicalize,
@@ -20,11 +20,15 @@ from branchspace import (
     configuration_to_dict,
     default_relation,
     empirical_average,
-    euclidean_space,
+    euclidean,
     symmetrize,
     validate,
 )
+from branchspace.charts import build_chart
 from branchspace.config import read_json, write_json
+from branchspace.hausdorff import StratumEvent
+from branchspace.paths import jet_match, make_split_loop
+from branchspace.sections import BranchLocus, Decomposition
 
 from conftest import random_configuration
 
@@ -285,12 +289,11 @@ def test_empirical_average_order_independent(rng):
 # ---------------------------------------------------------------------------
 
 def test_metric_axioms_on_random_triples(rng):
-    space = euclidean_space(3)
     for _ in range(200):
         x, y, z = rng.normal(size=(3, 3))
-        assert space.distance(x, x) == 0.0
-        assert space.distance(x, y) == space.distance(y, x) >= 0.0
-        assert space.distance(x, z) <= space.distance(x, y) + space.distance(y, z) + 1e-12
+        assert euclidean(x, x) == 0.0
+        assert euclidean(x, y) == euclidean(y, x) >= 0.0
+        assert euclidean(x, z) <= euclidean(x, y) + euclidean(y, z) + 1e-12
 
 
 def test_relation_symmetry(rng):
@@ -331,12 +334,38 @@ def test_json_roundtrip_canonicalizes(tmp_path):
 def test_nonpositive_or_nonfinite_tol_eq_rejected(tol_eq):
     with pytest.raises(ValueError, match="tol_eq"):
         Configuration([[0.0], [0.0]], tol_eq=tol_eq)
-    with pytest.raises(ValueError, match="tol_eq"):
-        AmbientSpace(dimension=1, tol_eq=tol_eq)
 
 
-def test_nonfinite_points_rejected():
-    with pytest.raises(ValueError):
-        Configuration.from_points([[np.nan]])
-    with pytest.raises(ValueError):
-        OrderedConfiguration(np.array([[np.inf, 0.0]]))
+@pytest.mark.parametrize("cls", [OrderedConfiguration, Configuration, LocallyFiniteConfiguration])
+def test_nonfinite_points_rejected(cls):
+    """The shared point-tuple base: coercion, rejected input, read-only
+    points, len and dimension."""
+    u = cls([3.0, 1.0, 2.0])  # a flat list is n points on the line
+    assert u.points.shape == (3, 1)
+    v = cls([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    for w in (u, v):
+        assert (len(w), w.dimension) == w.points.shape
+        with pytest.raises(ValueError):
+            w.points[0, 0] = 5.0
+    for bad in ([[np.nan]], [[np.inf, 0.0]], np.zeros((2, 0))):
+        with pytest.raises(ValueError):
+            cls(bad)
+
+
+# array-holding result types, each built fresh by a call
+ARRAY_HOLDERS = {
+    "LocallyFiniteConfiguration": lambda: LocallyFiniteConfiguration([[0.0, 0.0], [1.0, 2.0]]),
+    "Chart": lambda: build_chart(LocallyFiniteConfiguration([[0.0], [1.0], [3.0]])),
+    "JetMatchResult": lambda: jet_match(make_split_loop(m=64), [-1.0, 0.0], lambda q: q[1]),
+    "StratumEvent": lambda: StratumEvent(1.0, "merge", 2, 1, np.array([[0.0, 0.0]])),
+    "BranchLocus": lambda: BranchLocus(np.array([0.1, 0.2]), 1, 2, 3.0),
+    "Decomposition": lambda: Decomposition(np.array([[1.0, 2.0]]), None),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(make):
+    x = make()
+    assert x == x
+    assert (x == make()) is False
+    assert hash(x) == hash(x)

@@ -126,13 +126,6 @@ def test_empty_rejected():
         hausdorff_distance(u, empty)
 
 
-def test_custom_metric_loop():
-    metric = lambda x, y: float(np.max(np.abs(x - y)))  # Chebyshev
-    u = Configuration.from_points([[0.0, 0.0]])
-    v = Configuration.from_points([[3.0, 4.0]])
-    assert hausdorff_distance(u, v, metric=metric) == 4.0
-
-
 # ---------------------------------------------------------------------------
 # kd-tree index
 # ---------------------------------------------------------------------------
