@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, PointTuple, as_point_array
+from .config import DEFAULT_TOL_EQ, PointTuple, as_point_array, canonical_order, frozen, repeated_rows
 from .errors import (
     DuplicatePoints,
     LengthMismatch,
@@ -42,9 +42,9 @@ class LocallyFiniteConfiguration(PointTuple):
     """
 
 
-def separations(u: LocallyFiniteConfiguration | np.ndarray) -> np.ndarray:
+def separations(u) -> np.ndarray:
     """Distance from each point to the rest of the configuration."""
-    pts = u.points if isinstance(u, LocallyFiniteConfiguration) else as_point_array(u)
+    pts = as_point_array(u)
     if pts.shape[0] < 2:
         raise SingletonConfiguration("separation needs at least two points")
     dist, _ = cKDTree(pts).query(pts, k=2)
@@ -62,17 +62,19 @@ class Chart:
 
     Invariants (checked on construction): all radii positive, the open
     balls B(u_i, eps_i) are pairwise disjoint, and B(u_i, 2 eps_i) contains
-    no other point of the base.
+    no other point of the base. A base given as an array is stored as a
+    LocallyFiniteConfiguration.
     """
 
-    base: LocallyFiniteConfiguration
+    base: PointTuple
     radii: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float).reshape(-1)
+        if not isinstance(self.base, PointTuple):
+            object.__setattr__(self, "base", LocallyFiniteConfiguration(self.base))
+        r = frozen(np.ravel(self.radii))
         if r.shape[0] != len(self.base):
             raise LengthMismatch("one radius per base point required")
-        r.setflags(write=False)
         object.__setattr__(self, "radii", r)
         ok, why = self.verify()
         if not ok:
@@ -94,26 +96,25 @@ class Chart:
         return True, None
 
 
-def build_chart(u: LocallyFiniteConfiguration, tol_eq: float = DEFAULT_TOL_EQ) -> Chart:
+def build_chart(u, tol_eq: float = DEFAULT_TOL_EQ) -> Chart:
     """Chart with the canonical radii eps_i = separation_i / 2.
 
     In the flat ambient space the supremum defining the chart radius is
     attained exactly at the separation, so this is closed form.
     """
-    if len(u) < 2:
+    pts = as_point_array(u)
+    if pts.shape[0] < 2:
         raise SingletonConfiguration("charts need at least two points")
-    sep = separations(u)
-    if np.min(sep) <= tol_eq:
+    order = canonical_order(pts)
+    same = repeated_rows(pts[order])
+    if same.size:
+        i = int(order[same[0]])
+    else:
+        sep = separations(pts)
         i = int(np.argmin(sep))
-        raise DuplicatePoints(f"point {i} has a neighbor within tol_eq={tol_eq:g}")
-    return Chart(u, sep / 2.0)
-
-
-def _coerce_coords(c: Chart, z) -> np.ndarray:
-    arr = as_point_array(z, dim=c.base.dimension)
-    if arr.shape[0] != len(c):
-        raise LengthMismatch(f"expected {len(c)} coordinates, got {arr.shape[0]}")
-    return arr
+        if sep[i] > tol_eq:
+            return Chart(u, sep / 2.0)
+    raise DuplicatePoints(f"point {i} has a neighbor within tol_eq={tol_eq:g}")
 
 
 def chart_apply(c: Chart, z) -> LocallyFiniteConfiguration:
@@ -123,7 +124,9 @@ def chart_apply(c: Chart, z) -> LocallyFiniteConfiguration:
     (guaranteed by ball disjointness, so a failure means degenerate
     floating-point input).
     """
-    zz = _coerce_coords(c, z)
+    zz = as_point_array(z, dim=c.base.dimension)
+    if zz.shape[0] != len(c):
+        raise LengthMismatch(f"expected {len(c)} coordinates, got {zz.shape[0]}")
     norms = np.sqrt(np.sum(zz**2, axis=1))
     if np.any(norms >= 1.0):
         i = int(np.argmax(norms >= 1.0))
@@ -142,7 +145,7 @@ def ball_assignment(c: Chart, v, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
     a point sits on a ball boundary within tol_eq (the open domain
     excludes boundaries, so membership would be ambiguous).
     """
-    pts = v.points if isinstance(v, LocallyFiniteConfiguration) else as_point_array(v)
+    pts = as_point_array(v)
     if pts.shape[0] != len(c):
         raise LengthMismatch(f"expected {len(c)} points, got {pts.shape[0]}")
     # 2 eps_i <= sep_i puts a point that lies in or on ball i at least
@@ -171,7 +174,7 @@ def chart_invert(c: Chart, v, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
     Defined when every point of v sits strictly inside exactly one ball;
     otherwise NotInDomain.
     """
-    pts = v.points if isinstance(v, LocallyFiniteConfiguration) else as_point_array(v)
+    pts = as_point_array(v)
     pi = ball_assignment(c, pts, tol_eq=tol_eq)
     return (pts[pi] - c.base.points) / c.radii[:, None]
 
@@ -221,7 +224,4 @@ def chart_to_dict(c: Chart) -> dict:
 
 
 def chart_from_dict(obj: dict) -> Chart:
-    base = LocallyFiniteConfiguration(
-        as_point_array(obj["base"]["points"], dim=int(obj["base"]["dim"]))
-    )
-    return Chart(base, np.asarray(obj["radii"], dtype=float))
+    return Chart(as_point_array(obj["base"]["points"], dim=int(obj["base"]["dim"])), obj["radii"])

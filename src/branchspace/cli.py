@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_TOL_EQ, configuration_from_dict, read_json
-from .charts import LocallyFiniteConfiguration, build_chart, chart_to_dict
+from .charts import build_chart, chart_to_dict
 from .errors import BranchSpaceError
 from .hausdorff import (
     DEFAULT_MERGE_TOL,
@@ -139,20 +139,26 @@ def finite(text: str) -> float:
     return value
 
 
+def _integer_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+    return value
+
+
 def count(text: str) -> int:
     """argparse type of the size flags: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+    return _integer_at_least(text, 1)
+
+
+def sweep_steps(text: str) -> int:
+    """argparse type of bifurcate --steps: an integer >= 2 (both ends of the range)."""
+    return _integer_at_least(text, 2)
 
 
 def seed(text: str) -> int:
     """argparse type of --seed: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+    return _integer_at_least(text, 0)
 
 
 def parse_linear_field(expr: str):
@@ -217,10 +223,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_chart(args) -> int:
     if args.demo:
-        base = LocallyFiniteConfiguration(np.array([[0.0], [1.0], [3.0]]))
+        base = [[0.0], [1.0], [3.0]]
     else:
-        cfg = configuration_from_dict(read_json(args.input), tol_eq=args.tol_eq)
-        base = LocallyFiniteConfiguration(cfg.points)
+        base = configuration_from_dict(read_json(args.input), tol_eq=args.tol_eq)
     # the Chart constructor has verified the radii, disjoint balls included
     chart = build_chart(base, tol_eq=args.tol_eq)
     _emit(args, _dumps(dict(chart_to_dict(chart), disjoint=True)))
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bifurcate", cmd_bifurcate, "attractor sweep for diagram plotting", ("csv", "json"))
     p.add_argument("--a-min", dest="a_min", type=finite, required=True)
     p.add_argument("--a-max", dest="a_max", type=finite, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=sweep_steps, required=True)
     p.add_argument("--max-period", dest="max_period", type=int, choices=MAX_PERIODS, default=MAX_PERIODS[-1])
     p.add_argument("--orbit-tol", dest="orbit_tol", type=tolerance, default=DEFAULT_ORBIT_TOL)
 

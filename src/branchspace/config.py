@@ -23,6 +23,15 @@ from scipy.spatial import cKDTree
 from .errors import CompatibilityViolation, EmptyConfiguration, StratumTooLarge
 
 DEFAULT_TOL_EQ = 1e-9
+MAX_STRATUM = 9
+
+
+def frozen(values) -> np.ndarray:
+    """A read-only float copy of values: every array an object stores is
+    one, so no caller's array can change the object after construction."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def as_point(p) -> np.ndarray:
@@ -36,8 +45,8 @@ def as_point(p) -> np.ndarray:
 
 
 def as_point_array(points, dim: int | None = None) -> np.ndarray:
-    """Coerce a sequence of points to a finite (n, d) float array."""
-    arr = np.asarray(points, dtype=float)
+    """Coerce a point tuple or a sequence of points to a finite (n, d) float array."""
+    arr = points.points if isinstance(points, PointTuple) else np.asarray(points, dtype=float)
     if arr.ndim == 1:
         # allow a flat list of 1-d points
         arr = arr.reshape(-1, 1)
@@ -88,11 +97,7 @@ class PointTuple:
     points: np.ndarray
 
     def __post_init__(self):
-        self._freeze(as_point_array(self.points))
-
-    def _freeze(self, pts: np.ndarray) -> None:
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", frozen(as_point_array(self.points)))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -130,12 +135,12 @@ class Configuration(PointTuple):
     def __post_init__(self):
         _check_tol_eq(self.tol_eq)
         pts = as_point_array(self.points)
-        self._freeze(pts[canonical_order(pts)])
+        object.__setattr__(self, "points", frozen(pts[canonical_order(pts)]))
         _check_distinct(self.points, self.tol_eq)
 
     @classmethod
     def from_points(cls, points, tol_eq: float = DEFAULT_TOL_EQ) -> "Configuration":
-        return cls(as_point_array(points), tol_eq)
+        return cls(points, tol_eq)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
@@ -152,15 +157,21 @@ class Configuration(PointTuple):
         return f"Configuration(n={len(self)}, d={self.dimension})"
 
 
+def repeated_rows(points: np.ndarray) -> np.ndarray:
+    """Positions i where row i of lexicographically sorted points equals
+    row i + 1. This finds exact duplicates at O(n d) cost, where a kd-tree
+    cannot split a pile of equal points."""
+    return np.flatnonzero(np.all(points[1:] == points[:-1], axis=1))
+
+
 def _check_distinct(points: np.ndarray, tol_eq: float) -> None:
-    """Reject coincident sorted points: no two adjacent rows may be equal
-    (a kd-tree cannot split a pile of equal points), and then the closest
-    pair, from a kd-tree query for each point's two nearest points, must be
-    further apart than tol_eq."""
+    """Reject coincident sorted points: no two adjacent rows may be equal,
+    and then the closest pair, from a kd-tree query for each point's two
+    nearest points, must be further apart than tol_eq."""
     n = points.shape[0]
     if n < 2:
         return
-    same = np.flatnonzero(np.all(points[1:] == points[:-1], axis=1))
+    same = repeated_rows(points)
     if same.size:
         i, j = int(same[0]), int(same[0]) + 1
     else:
@@ -191,9 +202,12 @@ def validate(points, relation: Relation | None = None) -> tuple[bool, tuple[int,
     (False, (i, j)) with i < j. With no relation the points must be
     distinct within DEFAULT_TOL_EQ, and the pair is a closest one; a
     relation passed in is checked pair by pair, and the pair is the first
-    violating one in index order.
+    violating one in index order. An OrderedConfiguration is checked
+    against its own relation.
     """
     pts = as_point_array(points)
+    if isinstance(points, OrderedConfiguration):
+        relation = points.relation
     if relation is None:
         try:
             _distinct_configuration(pts, DEFAULT_TOL_EQ)
@@ -217,10 +231,9 @@ def canonicalize(
     Configuration. Raises CompatibilityViolation with the offending pair of
     input indices when two points lie within tol_eq, or when a pair fails
     the relation (an OrderedConfiguration's own, if o is one)."""
+    pts = as_point_array(o)
     if isinstance(o, OrderedConfiguration):
-        pts, relation = o.points, o.relation
-    else:
-        pts = as_point_array(o)
+        relation = o.relation
     if relation is not None:
         ok, pair = validate(pts, relation)
         if not ok:
@@ -228,19 +241,15 @@ def canonicalize(
     return _distinct_configuration(pts, tol_eq)
 
 
-def symmetrize(
-    f: Callable[[OrderedConfiguration], float],
-    o: OrderedConfiguration,
-    max_stratum: int = 9,
-) -> float:
+def symmetrize(f: Callable[[OrderedConfiguration], float], o: OrderedConfiguration) -> float:
     """Average f over all n! orderings of o.
 
     The result is permutation invariant by construction. Guarded at
-    n <= max_stratum because the enumeration is factorial.
+    n <= MAX_STRATUM because the enumeration is factorial.
     """
     n = len(o)
-    if n > max_stratum:
-        raise StratumTooLarge(f"stratum {n} exceeds the factorial guard {max_stratum}")
+    if n > MAX_STRATUM:
+        raise StratumTooLarge(f"stratum {n} exceeds the factorial guard {MAX_STRATUM}")
     total = 0.0
     count = 0
     for sigma in itertools.permutations(range(n)):

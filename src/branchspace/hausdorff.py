@@ -28,6 +28,7 @@ from .config import (
     as_point_array,
     configuration_from_dict,
     configuration_to_dict,
+    frozen,
 )
 from .errors import EmptyConfiguration, IndexMismatch, NonMonotoneTime
 
@@ -36,12 +37,6 @@ DEFAULT_MERGE_TOL = 10 * DEFAULT_TOL_EQ
 # Rows per block when scanning distance matrices, keeps peak memory at
 # ~block * n doubles.
 _BLOCK = 256
-
-
-def _points_of(v) -> np.ndarray:
-    if isinstance(v, Configuration):
-        return v.points
-    return as_point_array(v)
 
 
 def _scan(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -62,7 +57,7 @@ def _scan(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 def dist_to_set(x, v) -> float:
     """Distance from a point to a nonempty configuration: min over its
     points."""
-    pts = _points_of(v)
+    pts = as_point_array(v)
     if pts.shape[0] == 0:
         raise EmptyConfiguration("distance to an empty configuration")
     return _scan(as_point(x)[None, :], pts)[0]
@@ -73,7 +68,7 @@ def hausdorff_distance(u, v) -> float:
 
     Cardinalities need not agree.
     """
-    a, b = _points_of(u), _points_of(v)
+    a, b = as_point_array(u), as_point_array(v)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise EmptyConfiguration("hausdorff distance needs nonempty configurations")
     return max(_scan(a, b))
@@ -91,15 +86,13 @@ class GridIndex:
     """
 
     def __init__(self, points):
-        pts = _points_of(points)
-        if pts.shape[0] == 0:
+        self.points = frozen(as_point_array(points))
+        if self.points.shape[0] == 0:
             raise EmptyConfiguration("cannot index an empty configuration")
-        self.points = pts
-        self.tree = cKDTree(pts)
+        self.tree = cKDTree(self.points)
 
     def covers(self, u) -> bool:
-        pts = _points_of(u)
-        return pts.shape == self.points.shape and bool(np.array_equal(pts, self.points))
+        return bool(np.array_equal(as_point_array(u), self.points))
 
     def nearest(self, x) -> tuple[float, int]:
         """Exact nearest point of the indexed configuration, as
@@ -119,7 +112,7 @@ def hausdorff_distance_indexed(
     Indexes are built on the fly when not supplied; supplied indexes must
     cover their configurations or IndexMismatch is raised.
     """
-    a, b = _points_of(u), _points_of(v)
+    a, b = as_point_array(u), as_point_array(v)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise EmptyConfiguration("hausdorff distance needs nonempty configurations")
     if idx_u is None:

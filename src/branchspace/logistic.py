@@ -43,6 +43,8 @@ _PRIMITIVE_TOL = 1e-5
 # polished to within float noise of +-1 and kept. Beyond the slack a cycle
 # is unstable, and the attractor is another orbit (often the doubled one).
 _STABLE_SLACK = 1e-6
+_NEWTON_MAX_ITER = 60
+_BISECT_TOL = 1e-8
 
 
 def logistic(a: float, x: float) -> float:
@@ -96,14 +98,14 @@ def _orbit_multiplier(a: float, points: np.ndarray) -> float:
     return float(np.prod(a * (1.0 - 2.0 * points)))
 
 
-def _newton_polish(a: float, p: int, x0: float, tol: float, max_iter: int = 60) -> float | None:
+def _newton_polish(a: float, p: int, x0: float, tol: float) -> float | None:
     """Newton on F(x) = map^p(x) - x; F' is the chain-rule product minus 1.
 
     Returns the polished root, or None when F' vanishes or the residual
     |map^p(root) - root| exceeds tol.
     """
     x = float(x0)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         y = x
         deriv = 1.0
         for _ in range(p):
@@ -232,7 +234,7 @@ def orbit_for_period(
 
 
 @lru_cache(maxsize=None)
-def bifurcation_points(k_max: int, tol: float = 1e-8) -> tuple[float, ...]:
+def bifurcation_points(k_max: int) -> tuple[float, ...]:
     """The first k_max period-doubling parameters of the cascade.
 
     a_k is where the period-2^(k-1) orbit's multiplier crosses -1, located
@@ -275,7 +277,7 @@ def bifurcation_points(k_max: int, tol: float = 1e-8) -> tuple[float, ...]:
 
         lo, hi = a_prev, a_cur
         seeds = seeds_prev + orb.points
-        while hi - lo > tol:
+        while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
             orb = orbit_for_period(mid, p, seeds)
             if orb is None:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .config import read_json, write_json
+from .config import frozen, read_json, write_json
 from .errors import GridMismatch, SupportTouchesBoundary
 
 DEFAULT_TOL_SUPP = 1e-12
@@ -33,19 +33,16 @@ class GridFunction:
     origin: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = frozen(self.values)
         if vals.ndim < 1:
             raise ValueError("grid values must have at least one axis")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        origin = np.zeros(vals.ndim) if self.origin is None else np.asarray(self.origin, dtype=float).reshape(vals.ndim)
-        origin.setflags(write=False)
-        object.__setattr__(self, "origin", origin)
+        origin = np.zeros(vals.ndim) if self.origin is None else np.reshape(self.origin, vals.ndim)
+        object.__setattr__(self, "origin", frozen(origin))
 
     @property
     def dimension(self) -> int:
@@ -216,37 +213,39 @@ def validate_constant_volume_path(
 # Demos
 # ---------------------------------------------------------------------------
 
-def make_translated_bump_path(
-    steps: int = 6, shape: tuple[int, int] = (16, 16), spacing: float = 0.1
-) -> tuple[list[GridFunction], np.ndarray]:
+_BUMP_STEPS = 6
+_BUMP_SHAPE = (16, 16)
+_BUMP_SPACING = 0.1
+_GROW_AT = 3
+
+
+def make_translated_bump_path() -> tuple[list[GridFunction], np.ndarray]:
     """A 2x2 bump sliding one cell per step inside a fixed region whose
     ring stays clear: the constant-volume condition holds."""
     frames = []
-    for j in range(steps):
-        vals = np.zeros(shape)
+    for j in range(_BUMP_STEPS):
+        vals = np.zeros(_BUMP_SHAPE)
         vals[4:6, 3 + j : 5 + j] = 1.0
-        frames.append(GridFunction(vals, spacing))
-    region = np.zeros(shape, dtype=bool)
+        frames.append(GridFunction(vals, _BUMP_SPACING))
+    region = np.zeros(_BUMP_SHAPE, dtype=bool)
     region[2:9, 1:14] = True
     return frames, region
 
 
-def make_growing_bump_path(
-    steps: int = 6, grow_at: int = 3, shape: tuple[int, int] = (16, 16), spacing: float = 0.1
-) -> tuple[list[GridFunction], np.ndarray, int]:
-    """Like the translated bump, but from step `grow_at` the bump gains a
-    cell while the ring stays clear, violating volume constancy exactly
-    there."""
+def make_growing_bump_path() -> tuple[list[GridFunction], np.ndarray, int]:
+    """Like the translated bump, but from the returned step on the bump
+    gains a cell while the ring stays clear, violating volume constancy
+    exactly there."""
     frames = []
-    for j in range(steps):
-        vals = np.zeros(shape)
+    for j in range(_BUMP_STEPS):
+        vals = np.zeros(_BUMP_SHAPE)
         vals[4:6, 3:5] = 1.0
-        if j >= grow_at:
+        if j >= _GROW_AT:
             vals[6, 3] = 1.0
-        frames.append(GridFunction(vals, spacing))
-    region = np.zeros(shape, dtype=bool)
+        frames.append(GridFunction(vals, _BUMP_SPACING))
+    region = np.zeros(_BUMP_SHAPE, dtype=bool)
     region[2:9, 1:14] = True
-    return frames, region, grow_at
+    return frames, region, _GROW_AT
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +283,7 @@ def grid_to_dict(f: GridFunction) -> dict:
 
 def grid_from_dict(obj: dict) -> GridFunction:
     shape = tuple(int(s) for s in obj["dims"])
-    vals = np.asarray(obj["values"], dtype=float).reshape(shape)
-    return GridFunction(vals, float(obj["h"]), np.asarray(obj["origin"], dtype=float))
+    return GridFunction(np.reshape(obj["values"], shape), float(obj["h"]), obj["origin"])
 
 
 def write_grid(f: GridFunction, path) -> None:

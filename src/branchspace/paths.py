@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL_EQ, as_point_array
+from .config import DEFAULT_TOL_EQ, as_point, as_point_array, frozen
 from .errors import (
     EndpointMismatch,
     InsufficientResolution,
@@ -28,7 +28,7 @@ from .hausdorff import hausdorff_distance
 MIN_INTERVALS = 8
 MAX_JET_ORDER = 5
 DEFAULT_JET_ORDER = 3
-DEFAULT_JET_TOL = 1e-4
+JET_TOL = 1e-4
 
 # One-sided stencils use order + _STENCIL_EXTRA points; the extra width
 # keeps the truncation error at O(h^4), which the order-3 checks at
@@ -46,8 +46,7 @@ class PathSegment:
         vals = as_point_array(self.values)
         if vals.shape[0] < MIN_INTERVALS + 1:
             raise ValueError(f"segments need at least {MIN_INTERVALS} intervals")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", frozen(vals))
 
     @classmethod
     def from_function(cls, fn: Callable[[float], Sequence[float]], m: int = 256) -> "PathSegment":
@@ -266,21 +265,20 @@ def jet_match(
     branch_point,
     f: Callable[[np.ndarray], float],
     order: int = DEFAULT_JET_ORDER,
-    jet_tol: float = DEFAULT_JET_TOL,
     tol_eq: float = DEFAULT_TOL_EQ,
 ) -> JetMatchResult:
     """Compare derivative sums of f across a junction, orders 1..order.
 
     Incoming segments are those ending at the branch point (derivatives
     taken one-sided at t=1), outgoing ones start there (one-sided at t=0).
-    The tolerance is jet_tol scaled by max(1, max |f| over the involved
+    The tolerance is JET_TOL scaled by max(1, max |f| over the involved
     samples). Orders above the sampling resolution raise
     InsufficientResolution; higher orders also amplify rounding noise by
     h^-order, so coarse segments need looser tolerances.
     """
     if not 1 <= order <= MAX_JET_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_JET_ORDER}")
-    p = np.atleast_1d(np.asarray(branch_point, dtype=float))
+    p = frozen(as_point(branch_point))
     incoming: list[PathSegment] = []
     outgoing: list[PathSegment] = []
     for i in range(len(bp.stages) - 1):
@@ -301,7 +299,7 @@ def jet_match(
     traces_in = [np.asarray([float(f(q)) for q in g.values]) for g in incoming]
     traces_out = [np.asarray([float(f(q)) for q in g.values]) for g in outgoing]
     scale = max(1.0, max(float(np.max(np.abs(tr))) for tr in traces_in + traces_out))
-    tol = jet_tol * scale
+    tol = JET_TOL * scale
 
     residuals: dict[int, float] = {}
     for k in range(1, order + 1):
@@ -366,11 +364,10 @@ def branched_path_from_dict(obj: dict) -> BranchedPath:
         for g in stage:
             samples = g["samples"]
             ts = np.asarray([s[0] for s in samples], dtype=float)
-            vals = np.asarray([s[1] for s in samples], dtype=float)
             m = len(samples) - 1
             if m < 1 or not np.allclose(ts, np.arange(m + 1) / m, atol=1e-12):
                 raise ValueError("segment samples must sit on the uniform grid k/m")
-            segs.append(PathSegment(vals))
+            segs.append(PathSegment([s[1] for s in samples]))
         stages.append(segs)
     return BranchedPath(stages)
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import Configuration, as_point_array
+from .config import Configuration, as_point_array, frozen
 from .errors import NonConstantCardinality, ParameterOutOfRange
 from .logistic import (
     DEFAULT_ORBIT_TOL,
@@ -26,7 +26,7 @@ from .logistic import (
     logistic_attractor,
 )
 
-DEFAULT_GAP_RATIO = 2.0
+GAP_RATIO = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +43,7 @@ class BranchedSectionSample:
     parameters: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = as_point_array(self.base_points)
-        pts.setflags(write=False)
+        pts = frozen(as_point_array(self.base_points))
         object.__setattr__(self, "base_points", pts)
         object.__setattr__(self, "fibers", tuple(self.fibers))
         if len(self.fibers) != pts.shape[0]:
@@ -52,10 +51,9 @@ class BranchedSectionSample:
         if any(f is not None and len(f) == 0 for f in self.fibers):
             raise ValueError("fibers must be nonempty (or None when flagged chaotic)")
         if self.parameters is not None:
-            par = np.asarray(self.parameters, dtype=float).reshape(-1)
+            par = frozen(np.ravel(self.parameters))
             if par.shape[0] != pts.shape[0]:
                 raise ValueError("one parameter per base point required")
-            par.setflags(write=False)
             object.__setattr__(self, "parameters", par)
 
     def __len__(self) -> int:
@@ -190,15 +188,12 @@ class Decomposition:
         return self.selections is not None
 
 
-def decompose_or_witness(
-    sample: BranchedSectionSample,
-    gap_ratio: float = DEFAULT_GAP_RATIO,
-) -> Decomposition:
+def decompose_or_witness(sample: BranchedSectionSample) -> Decomposition:
     """Thread n single-valued selections through a constant-cardinality
     sampled section by nearest continuation.
 
     A step is unambiguous when the second-best candidate is at least
-    gap_ratio times further than the best and no two selections claim the
+    GAP_RATIO times further than the best and no two selections claim the
     same fiber point. The first ambiguous step is returned as a witness
     (branching or monodromy at sampling resolution).
     """
@@ -222,7 +217,7 @@ def decompose_or_witness(
             best = int(order[0])
             if n >= 2:
                 d1, d2 = float(d[order[0]]), float(d[order[1]])
-                if d1 > 0.0 and d2 < gap_ratio * d1:
+                if d1 > 0.0 and d2 < GAP_RATIO * d1:
                     return Decomposition(
                         None,
                         ThreadingWitness(

@@ -98,6 +98,17 @@ def test_build_chart_duplicates_rejected():
         build_chart(u)
 
 
+def test_build_chart_names_a_duplicate_by_its_input_index():
+    # the duplicated point sorts first, at position 0
+    with pytest.raises(DuplicatePoints, match="^point 1 has a neighbor"):
+        build_chart(LocallyFiniteConfiguration([[3.0], [1.0], [2.0], [1.0]]))
+
+
+def test_a_pile_of_coincident_points_is_rejected_at_once():
+    with pytest.raises(DuplicatePoints, match="^point 0 has a neighbor"):
+        build_chart(LocallyFiniteConfiguration(np.zeros((100_000, 2))))
+
+
 def test_chart_invariant_enforced():
     with pytest.raises(ValueError):
         Chart(three_points(), np.array([5.0, 5.0, 5.0]))

@@ -177,6 +177,11 @@ def test_bad_count_exits_2_naming_the_flag(capsys, command, flag, value):
         # fewer intervals than a segment needs, and than an order-3 jet needs
         ("branched-path", "--samples", "7"),
         ("branched-path", "--samples", "11"),
+        # a sweep includes both ends of its range
+        ("bifurcate", "--steps", "1"),
+        ("bifurcate", "--steps", "0"),
+        ("bifurcate", "--steps", "-2"),
+        ("bifurcate", "--steps", "x"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(capsys, command, flag, value):

@@ -24,11 +24,18 @@ from branchspace import (
     symmetrize,
     validate,
 )
-from branchspace.charts import build_chart
+from branchspace.charts import Chart, build_chart, chart_invert, separations
 from branchspace.config import read_json, write_json
-from branchspace.hausdorff import StratumEvent
-from branchspace.paths import jet_match, make_split_loop
-from branchspace.sections import BranchLocus, Decomposition
+from branchspace.hausdorff import (
+    GridIndex,
+    StratumEvent,
+    dist_to_set,
+    hausdorff_distance,
+    hausdorff_distance_indexed,
+)
+from branchspace.measure import GridFunction
+from branchspace.paths import PathSegment, jet_match, make_split_loop
+from branchspace.sections import BranchedSectionSample, BranchLocus, Decomposition
 
 from conftest import random_configuration
 
@@ -369,3 +376,96 @@ def test_array_holders_compare_by_identity(make):
     assert x == x
     assert (x == make()) is False
     assert hash(x) == hash(x)
+
+
+# ---------------------------------------------------------------------------
+# Objects own their arrays; functions take any point tuple
+# ---------------------------------------------------------------------------
+
+def _index_answers_for_its_points(idx: GridIndex, raw: np.ndarray, before: np.ndarray) -> bool:
+    d = np.linalg.norm(before - [5.0, 5.0], axis=1)
+    scan = hausdorff_distance(before, before[:5])
+    return (
+        not idx.covers(raw)
+        and idx.nearest([5.0, 5.0]) == (pytest.approx(d.min(), abs=1e-12), int(np.argmin(d)))
+        and hausdorff_distance_indexed(before, before[:5] + 0, idx_u=idx) == pytest.approx(scan, abs=1e-12)
+    )
+
+
+THREE = LocallyFiniteConfiguration([[0.0], [1.0], [3.0]])
+UNIFORM = np.random.default_rng(7).uniform(0.0, 10.0, size=(200, 2))
+
+# name: (the caller's array, constructor, the array the object returns,
+# a check that the object is still what it was built as)
+OWNERS = {
+    "OrderedConfiguration": (
+        [[2.0, 3.0], [0.0, 1.0]], OrderedConfiguration, lambda o: o.points, None),
+    "Configuration": ([[2.0, 3.0], [0.0, 1.0]], Configuration, lambda o: o.points, None),
+    "LocallyFiniteConfiguration": (
+        [[2.0, 3.0], [0.0, 1.0]], LocallyFiniteConfiguration, lambda o: o.points, None),
+    "Chart.radii": (
+        [0.25, 0.5, 1.0], lambda r: Chart(THREE, r), lambda c: c.radii, lambda c, *_: c.verify() == (True, None)),
+    "Chart.base": (
+        [[0.0], [1.0], [3.0]], lambda b: Chart(b, [0.25, 0.5, 1.0]), lambda c: c.base.points,
+        lambda c, *_: c.verify() == (True, None)),
+    "PathSegment": (np.linspace(0.0, 1.0, 18).reshape(9, 2), PathSegment, lambda g: g.values, None),
+    "BranchedSectionSample.base_points": (
+        [[0.0], [0.5]], lambda b: BranchedSectionSample(b, (None, None)), lambda s: s.base_points, None),
+    "BranchedSectionSample.parameters": (
+        [3.2, 3.3], lambda a: BranchedSectionSample([[0.0], [0.5]], (None, None), a), lambda s: s.parameters, None),
+    "GridFunction.values": (np.ones((3, 4)), lambda v: GridFunction(v, 0.1), lambda f: f.values, None),
+    "GridFunction.origin": (
+        [0.5, -0.5], lambda o: GridFunction(np.ones((3, 4)), 0.1, o), lambda f: f.origin, None),
+    "GridIndex": (UNIFORM, GridIndex, lambda idx: idx.points, _index_answers_for_its_points),
+    "JetMatchResult": (
+        [-1.0, 0.0], lambda p: jet_match(make_split_loop(m=64), p, lambda q: q[1]), lambda r: r.junction, None),
+}
+
+
+@pytest.mark.parametrize("values, build, read, still_valid", OWNERS.values(), ids=OWNERS.keys())
+def test_objects_keep_a_read_only_copy_of_the_callers_array(values, build, read, still_valid):
+    raw = np.array(values, dtype=float)
+    before = raw.copy()
+    obj = build(raw)
+    kept = read(obj).copy()
+    raw[...] = 5.0  # the caller's array stays writable
+    assert np.array_equal(read(obj), kept)
+    with pytest.raises(ValueError):
+        read(obj)[...] = 0.0
+    if still_valid is not None:
+        assert still_valid(obj, raw, before)
+
+
+SORTED = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 3.0]])
+OTHER = Configuration([[0.5, 0.0], [2.0, 2.0]])
+# the chart's balls hold the points of SORTED, off their centres
+NEAR = build_chart(LocallyFiniteConfiguration(SORTED + [0.1, -0.2]))
+
+POINT_CALLS = {
+    "hausdorff_distance": lambda u: hausdorff_distance(u, OTHER),
+    "hausdorff_distance_indexed": lambda u: hausdorff_distance_indexed(u, OTHER),
+    "dist_to_set": lambda u: dist_to_set([1.0, 1.0], u),
+    "GridIndex": lambda u: GridIndex(u).nearest([1.0, 1.0]),
+    "separations": separations,
+    "build_chart": lambda u: build_chart(u).radii,
+    "chart_invert": lambda u: chart_invert(NEAR, u),
+    "validate": validate,
+    "canonicalize": lambda u: canonicalize(u).points,
+}
+
+
+@pytest.mark.parametrize("tuple_cls", [OrderedConfiguration, Configuration, LocallyFiniteConfiguration])
+@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS.keys())
+def test_functions_take_any_point_tuple_as_its_array(call, tuple_cls):
+    np.testing.assert_equal(call(tuple_cls(SORTED)), call(SORTED.copy()))
+
+
+def test_validate_and_canonicalize_check_an_ordered_configurations_own_relation():
+    far = lambda x, y: euclidean(x, y) > 1.5
+    o = OrderedConfiguration(SORTED, far)
+    assert validate(o) == validate(SORTED, far) == (False, (0, 1))
+    assert validate(o, default_relation()) == (False, (0, 1))
+    with pytest.raises(CompatibilityViolation) as err:
+        canonicalize(o)
+    assert err.value.pair == (0, 1)
+    assert validate(OrderedConfiguration(SORTED), far) == (True, None)
