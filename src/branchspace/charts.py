@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, PointTuple, as_point_array, canonical_order, frozen, repeated_rows
+from .config import DEFAULT_TOL_EQ, PointTuple, as_point_array, frozen, separations
 from .errors import (
     DuplicatePoints,
     LengthMismatch,
@@ -40,15 +40,6 @@ class LocallyFiniteConfiguration(PointTuple):
     Point order is meaningful here (charts are indexed per point), so no
     canonicalization happens.
     """
-
-
-def separations(u) -> np.ndarray:
-    """Distance from each point to the rest of the configuration."""
-    pts = as_point_array(u)
-    if pts.shape[0] < 2:
-        raise SingletonConfiguration("separation needs at least two points")
-    dist, _ = cKDTree(pts).query(pts, k=2)
-    return dist[:, 1]
 
 
 def separation(u: LocallyFiniteConfiguration, i: int) -> float:
@@ -105,15 +96,10 @@ def build_chart(u, tol_eq: float = DEFAULT_TOL_EQ) -> Chart:
     pts = as_point_array(u)
     if pts.shape[0] < 2:
         raise SingletonConfiguration("charts need at least two points")
-    order = canonical_order(pts)
-    same = repeated_rows(pts[order])
-    if same.size:
-        i = int(order[same[0]])
-    else:
-        sep = separations(pts)
-        i = int(np.argmin(sep))
-        if sep[i] > tol_eq:
-            return Chart(u, sep / 2.0)
+    sep = separations(pts)
+    i = int(np.argmin(sep))
+    if sep[i] > tol_eq:
+        return Chart(u, sep / 2.0)
     raise DuplicatePoints(f"point {i} has a neighbor within tol_eq={tol_eq:g}")
 
 

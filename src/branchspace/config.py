@@ -1,5 +1,5 @@
 """Finite point configurations: ordered tuples, their permutation quotient,
-and symmetrized functionals.
+each point's separation from the rest, and symmetrized functionals.
 
 Points live in Euclidean R^d. An ordered configuration is a finite
 sequence of points that are pairwise compatible under a symmetric relation
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import CompatibilityViolation, EmptyConfiguration, StratumTooLarge
+from .errors import CompatibilityViolation, EmptyConfiguration, SingletonConfiguration, StratumTooLarge
 
 DEFAULT_TOL_EQ = 1e-9
 MAX_STRATUM = 9
@@ -71,14 +71,15 @@ def euclidean(x: np.ndarray, y: np.ndarray) -> float:
 
 
 # A compatibility relation: a symmetric predicate on point pairs whose truth
-# forces distinctness. None means distinct within tol_eq (Configuration's check).
+# forces distinctness. An OrderedConfiguration without one asks only for
+# distinctness within tol_eq (Configuration's check).
 Relation = Callable[[np.ndarray, np.ndarray], bool]
 
 
 def default_relation(tol_eq: float = DEFAULT_TOL_EQ) -> Relation:
     """The default relation as a predicate: points are compatible iff they
     are distinct, i.e. further apart than tol_eq. Checking it pair by pair
-    is the slow oracle of `relation=None`."""
+    is the slow oracle of the distinctness check."""
     return lambda x, y: euclidean(x, y) > tol_eq
 
 
@@ -138,10 +139,6 @@ class Configuration(PointTuple):
         object.__setattr__(self, "points", frozen(pts[canonical_order(pts)]))
         _check_distinct(self.points, self.tol_eq)
 
-    @classmethod
-    def from_points(cls, points, tol_eq: float = DEFAULT_TOL_EQ) -> "Configuration":
-        return cls(points, tol_eq)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
@@ -157,88 +154,89 @@ class Configuration(PointTuple):
         return f"Configuration(n={len(self)}, d={self.dimension})"
 
 
-def repeated_rows(points: np.ndarray) -> np.ndarray:
-    """Positions i where row i of lexicographically sorted points equals
-    row i + 1. This finds exact duplicates at O(n d) cost, where a kd-tree
-    cannot split a pile of equal points."""
-    return np.flatnonzero(np.all(points[1:] == points[:-1], axis=1))
+def separations(u) -> np.ndarray:
+    """Distance from each point to the rest of the configuration, 0 for a
+    point with an exact copy.
+
+    A kd-tree cannot split a pile of equal points, so the sorted rows
+    equal to their neighbour are collapsed first and one query runs over
+    the distinct rows only: O(n log n) at every n."""
+    pts = as_point_array(u)
+    if pts.shape[0] < 2:
+        raise SingletonConfiguration("separation needs at least two points")
+    order = canonical_order(pts)
+    rows = pts[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    pile = np.cumsum(new) - 1  # each sorted row's distinct row
+    distinct = rows[new]
+    dist, _ = cKDTree(distinct).query(distinct, k=2)
+    sep = dist[:, 1]
+    sep[np.bincount(pile) > 1] = 0.0
+    out = np.empty(pts.shape[0])
+    out[order] = sep[pile]
+    return out
 
 
 def _check_distinct(points: np.ndarray, tol_eq: float) -> None:
-    """Reject coincident sorted points: no two adjacent rows may be equal,
-    and then the closest pair, from a kd-tree query for each point's two
-    nearest points, must be further apart than tol_eq."""
-    n = points.shape[0]
-    if n < 2:
+    """Reject coincident points: the point of least separation must be
+    further than tol_eq from the rest. Otherwise its pair with its nearest
+    point is reported, i < j; for a pile of equal sorted points that is
+    the pile's first two rows."""
+    if points.shape[0] < 2:
         return
-    same = repeated_rows(points)
-    if same.size:
-        i, j = int(same[0]), int(same[0]) + 1
-    else:
-        dist, near = cKDTree(points).query(points, k=2)
-        # a point at distance 0 from i (its square underflowed) may come first
-        other = np.where(near[:, 0] == np.arange(n), near[:, 1], near[:, 0])
-        i = int(np.argmin(dist[:, 1]))
-        if dist[i, 1] > tol_eq:
-            return
-        i, j = sorted((i, int(other[i])))
+    sep = separations(points)
+    i = int(np.argmin(sep))
+    if sep[i] > tol_eq:
+        return
+    dist = np.sqrt(np.sum((points - points[i]) ** 2, axis=1))
+    dist[i] = math.inf
+    i, j = sorted((i, int(np.argmin(dist))))
     raise CompatibilityViolation(i, j, f"points {i} and {j} coincide within tol_eq={tol_eq:g}")
 
 
-def _distinct_configuration(points: np.ndarray, tol_eq: float) -> Configuration:
-    """Configuration(points, tol_eq); a violation names indices into points."""
-    try:
-        return Configuration(points, tol_eq)
-    except CompatibilityViolation as err:
-        order = canonical_order(points)
-        i, j = sorted(int(order[k]) for k in err.pair)
-        raise CompatibilityViolation(i, j) from None
-
-
-def validate(points, relation: Relation | None = None) -> tuple[bool, tuple[int, int] | None]:
-    """Check all unordered pairs against the relation.
+def validate(points) -> tuple[bool, tuple[int, int] | None]:
+    """Check all unordered pairs of points.
 
     Returns (True, None) when every pair is compatible, otherwise
-    (False, (i, j)) with i < j. With no relation the points must be
-    distinct within DEFAULT_TOL_EQ, and the pair is a closest one; a
-    relation passed in is checked pair by pair, and the pair is the first
-    violating one in index order. An OrderedConfiguration is checked
-    against its own relation.
+    (False, (i, j)) with i < j. An OrderedConfiguration with a relation is
+    checked against it pair by pair, and the pair is the first violating
+    one in index order. Otherwise the points must be distinct within
+    DEFAULT_TOL_EQ, and the pair is a closest one.
     """
     pts = as_point_array(points)
-    if isinstance(points, OrderedConfiguration):
-        relation = points.relation
-    if relation is None:
-        try:
-            _distinct_configuration(pts, DEFAULT_TOL_EQ)
-            return True, None
-        except CompatibilityViolation as err:
-            return False, err.pair
-    for i, j in itertools.combinations(range(pts.shape[0]), 2):
-        if not relation(pts[i], pts[j]):
-            return False, (i, j)
+    relation = points.relation if isinstance(points, OrderedConfiguration) else None
+    if relation is not None:
+        for i, j in itertools.combinations(range(pts.shape[0]), 2):
+            if not relation(pts[i], pts[j]):
+                return False, (i, j)
+        return True, None
+    try:
+        canonicalize(pts)
+    except CompatibilityViolation as err:
+        return False, err.pair
     return True, None
 
 
 def canonicalize(
-    o: OrderedConfiguration | np.ndarray | Sequence,
-    relation: Relation | None = None,
-    tol_eq: float = DEFAULT_TOL_EQ,
+    o: OrderedConfiguration | np.ndarray | Sequence, tol_eq: float = DEFAULT_TOL_EQ
 ) -> Configuration:
     """Quotient an ordered configuration by permutations.
 
     All orderings of the same point multiset map to the identical canonical
     Configuration. Raises CompatibilityViolation with the offending pair of
     input indices when two points lie within tol_eq, or when a pair fails
-    the relation (an OrderedConfiguration's own, if o is one)."""
-    pts = as_point_array(o)
-    if isinstance(o, OrderedConfiguration):
-        relation = o.relation
-    if relation is not None:
-        ok, pair = validate(pts, relation)
+    the relation of an OrderedConfiguration."""
+    if isinstance(o, OrderedConfiguration) and o.relation is not None:
+        ok, pair = validate(o)
         if not ok:
             raise CompatibilityViolation(*pair)
-    return _distinct_configuration(pts, tol_eq)
+    pts = as_point_array(o)
+    try:
+        return Configuration(pts, tol_eq)
+    except CompatibilityViolation as err:
+        order = canonical_order(pts)
+        raise CompatibilityViolation(*sorted(int(order[k]) for k in err.pair)) from None
 
 
 def symmetrize(f: Callable[[OrderedConfiguration], float], o: OrderedConfiguration) -> float:

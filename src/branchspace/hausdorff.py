@@ -227,7 +227,7 @@ def two_particle_merge_trajectory(times: Sequence[float] | None = None) -> list[
     for t in ts:
         r = 1.0 - t
         pts = [[0.0]] if r == 0.0 else [[-r], [r]]
-        traj.append((t, Configuration.from_points(pts)))
+        traj.append((t, Configuration(pts)))
     return traj
 
 

@@ -138,7 +138,7 @@ def branched_equilibrium_section(
         if isinstance(att, Chaotic):
             fibers.append(None)
         else:
-            fibers.append(Configuration.from_points([[x] for x in att.points]))
+            fibers.append(Configuration([[x] for x in att.points]))
 
     sample = BranchedSectionSample(pts, tuple(fibers), params)
 

@@ -17,4 +17,4 @@ def random_configuration(rng, n: int, dim: int, scale: float = 10.0) -> Configur
     take = rng.permutation(cells.shape[0])[:n]
     spacing = scale / side
     pts = cells[take] * spacing + rng.uniform(0.2, 0.8, size=(n, dim)) * spacing
-    return Configuration.from_points(pts)
+    return Configuration(pts)

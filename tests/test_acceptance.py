@@ -66,9 +66,9 @@ def test_criterion_1_metric_suite():
 
         if i % 100 == 0:
             # zero iff equal as sets within tol_eq
-            shuffled = Configuration.from_points(u.points[rng.permutation(len(u))])
+            shuffled = Configuration(u.points[rng.permutation(len(u))])
             assert hausdorff_distance(u, shuffled) == 0.0
-            nudged = Configuration.from_points(u.points + 0.5 * u.tol_eq / math.sqrt(dim))
+            nudged = Configuration(u.points + 0.5 * u.tol_eq / math.sqrt(dim))
             assert hausdorff_distance(u, nudged) <= u.tol_eq
     report(1, f"1000 triples: symmetry exact, identity exact, triangle slack <= {max(worst_slack, 0.0):.2e}")
 
@@ -91,7 +91,7 @@ def test_criterion_2_oracle_equivalence_and_benchmark():
 
     side = np.arange(317, dtype=float)
     grid_pts = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)  # ~1e5 points
-    grid_cfg = Configuration.from_points(grid_pts)
+    grid_cfg = Configuration(grid_pts)
     assert hausdorff_distance_indexed(grid_cfg, grid_cfg) == 0.0
 
     bench = benchmark(100_000, dimension=2, seed=0)
@@ -253,7 +253,7 @@ def test_criterion_7_merge_detection():
     assert events[0].kind == "merge"
     assert events[0].time == 1.0
 
-    origin = Configuration.from_points([[0.0]])
+    origin = Configuration([[0.0]])
     for t, u in traj:
         assert abs(hausdorff_distance(u, origin) - (1.0 - t)) <= 1e-12
     report(7, "single merge event at t=1.0; d(u_t, {0}) = 1-t within 1e-12 at all 11 samples")

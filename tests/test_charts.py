@@ -66,6 +66,41 @@ def test_separation_singleton_rejected():
         separations(u)
 
 
+def separations_by_definition(pts):
+    """Each point's least distance to another point, from the n x n matrix."""
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-4.0, 4.0))] * d),
+            min_size=2,
+            max_size=8,
+        )
+    ),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(1, 3)), max_size=3),
+    st.lists(st.integers(0, 7), max_size=3),
+    st.randoms(use_true_random=False),
+)
+@settings(deadline=None)
+def test_separations_match_their_definition(rows, piles, nudged, random):
+    # piles of 2-4 equal rows, and rows moved by 1e-170, whose squared
+    # distance from the original underflows (or which stay equal to it)
+    pts = [list(r) for r in rows]
+    pts += [pts[k % len(rows)] for k, copies in piles for _ in range(copies)]
+    pts += [[pts[k % len(rows)][0] + 1e-170] + pts[k % len(rows)][1:] for k in nudged]
+    random.shuffle(pts)
+    pts = np.array(pts)
+    assert np.all(separations(pts) == separations_by_definition(pts))
+
+
+def test_separations_of_a_pile_of_coincident_points_come_at_once():
+    assert not np.any(separations(np.zeros((100_000, 2))))
+
+
 # ---------------------------------------------------------------------------
 # build_chart
 # ---------------------------------------------------------------------------
@@ -107,6 +142,11 @@ def test_build_chart_names_a_duplicate_by_its_input_index():
 def test_a_pile_of_coincident_points_is_rejected_at_once():
     with pytest.raises(DuplicatePoints, match="^point 0 has a neighbor"):
         build_chart(LocallyFiniteConfiguration(np.zeros((100_000, 2))))
+
+
+def test_a_chart_over_a_pile_of_coincident_points_is_rejected_at_once():
+    with pytest.raises(ValueError, match="captures another base point"):
+        Chart(LocallyFiniteConfiguration(np.zeros((100_000, 2))), np.ones(100_000))
 
 
 def test_chart_invariant_enforced():

@@ -209,13 +209,19 @@ def test_readme_cli_examples_parse():
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library tour\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 # ---------------------------------------------------------------------------
 # hausdorff
 # ---------------------------------------------------------------------------
 
 def test_hausdorff_files(capsys, tmp_path):
-    write_json(configuration_to_dict(Configuration.from_points([[0.0], [2.0]])), tmp_path / "u.json")
-    write_json(configuration_to_dict(Configuration.from_points([[1.0]])), tmp_path / "v.json")
+    write_json(configuration_to_dict(Configuration([[0.0], [2.0]])), tmp_path / "u.json")
+    write_json(configuration_to_dict(Configuration([[1.0]])), tmp_path / "v.json")
     code, out, _ = run(capsys, "hausdorff", str(tmp_path / "u.json"), str(tmp_path / "v.json"))
     assert code == 0
     assert json.loads(out)["distance"] == 1.0

@@ -72,7 +72,7 @@ def test_canonicalize_reports_offending_pair():
 def test_canonicalize_validates_at_its_own_tol_eq():
     # below the default tolerance it accepts what Configuration accepts
     c = canonicalize(np.array([[5e-10], [0.0]]), tol_eq=1e-10)
-    assert c == Configuration.from_points([[0.0], [5e-10]], tol_eq=1e-10)
+    assert c == Configuration([[0.0], [5e-10]], tol_eq=1e-10)
     # above it, the pair that fails is reported in input order
     with pytest.raises(CompatibilityViolation) as err:
         canonicalize(np.array([[5.0], [0.0], [5.0 + 1e-6]]), tol_eq=1e-5)
@@ -100,7 +100,7 @@ def test_configuration_rejects_near_duplicates_at_every_size(n):
     k = n // 2
     pts = np.vstack([np.arange(n - 1, dtype=float).reshape(-1, 1), [[k + 1e-11]]])
     with pytest.raises(CompatibilityViolation) as err:
-        Configuration.from_points(pts)
+        Configuration(pts)
     assert err.value.pair == (k, k + 1)
     assert str(err.value) == f"points {k} and {k + 1} coincide within tol_eq=1e-09"
 
@@ -120,10 +120,10 @@ def test_configuration_distinctness_matches_pairwise_oracle(cells, nudge):
     np.fill_diagonal(dist, np.inf)
     closest = np.argwhere(dist == np.min(dist))
     if np.min(dist) > DEFAULT_TOL_EQ:
-        assert np.array_equal(Configuration.from_points(pts).points, sorted_pts)
+        assert np.array_equal(Configuration(pts).points, sorted_pts)
         return
     with pytest.raises(CompatibilityViolation) as err:
-        Configuration.from_points(pts)
+        Configuration(pts)
     i, j = err.value.pair
     assert i < j and dist[i, j] == np.min(dist)
     if len(closest) == 2:  # one closest pair, seen from both ends
@@ -153,10 +153,10 @@ def test_default_distinctness_matches_the_pairwise_loop(cells, copies, nudge, to
         assert i < j and dist[i, j] == np.min(dist)
 
     ok, pair = validate(pts)
-    assert ok == validate(pts, default_relation())[0]
+    assert ok == validate(OrderedConfiguration(pts, default_relation()))[0]
     if not ok:
         assert_closest(pair)
-    accepted = validate(pts, default_relation(tol_eq))[0]
+    accepted = validate(OrderedConfiguration(pts, default_relation(tol_eq)))[0]
     for o in (pts, OrderedConfiguration(pts)):
         if accepted:
             assert canonicalize(o, tol_eq=tol_eq) == Configuration(pts, tol_eq)
@@ -175,9 +175,9 @@ def test_a_pile_of_coincident_points_is_rejected_at_once():
 
 
 def test_equal_configurations_are_one_set_member():
-    a = Configuration.from_points([[0.0, 1.0], [2.0, -0.0]])
-    b = Configuration.from_points([[2.0, 0.0], [0.0, 1.0]])
-    c = Configuration.from_points([[2.0, 0.0]])
+    a = Configuration([[0.0, 1.0], [2.0, -0.0]])
+    b = Configuration([[2.0, 0.0], [0.0, 1.0]])
+    c = Configuration([[2.0, 0.0]])
     assert a == b and hash(a) == hash(b)
     assert len({a, b, c}) == 2
     assert {a: "first"}[b] == "first"
@@ -205,9 +205,9 @@ def test_validate_many_random_distinct(rng):
 
 def test_validate_matches_tolerance_threshold():
     rel = default_relation(tol_eq=1e-9)
-    ok, _ = validate(np.array([[0.0], [5e-10]]), rel)
+    ok, _ = validate(OrderedConfiguration(np.array([[0.0], [5e-10]]), rel))
     assert not ok
-    ok, _ = validate(np.array([[0.0], [2e-9]]), rel)
+    ok, _ = validate(OrderedConfiguration(np.array([[0.0], [2e-9]]), rel))
     assert ok
 
 
@@ -262,23 +262,23 @@ def test_symmetrize_stratum_guard():
 # ---------------------------------------------------------------------------
 
 def test_empirical_average_mean_coordinate():
-    u = Configuration.from_points([[0.0, 0.0], [2.0, 0.0]])
+    u = Configuration([[0.0, 0.0], [2.0, 0.0]])
     assert empirical_average(lambda p: p[0], u) == pytest.approx(1.0)
 
 
 def test_empirical_average_constant():
-    u = Configuration.from_points([[0.0], [4.0], [9.0]])
+    u = Configuration([[0.0], [4.0], [9.0]])
     assert empirical_average(lambda p: 3.25, u) == 3.25
 
 
 def test_empirical_average_squared_norm():
-    u = Configuration.from_points([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    u = Configuration([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     expected = (1.0 + 1.0 + 2.0) / 3.0  # direct summation oracle
     assert empirical_average(lambda p: float(p @ p), u) == pytest.approx(expected, abs=1e-15)
 
 
 def test_empirical_average_empty():
-    u = Configuration.from_points(np.empty((0, 2)))
+    u = Configuration(np.empty((0, 2)))
     with pytest.raises(EmptyConfiguration):
         empirical_average(lambda p: 0.0, u)
 
@@ -286,7 +286,7 @@ def test_empirical_average_empty():
 def test_empirical_average_order_independent(rng):
     pts = rng.normal(size=(12, 3))
     f = lambda p: float(np.cos(p[0]) + p[1] * p[2])
-    u = Configuration.from_points(pts)
+    u = Configuration(pts)
     direct = sum(f(p) for p in pts) / len(pts)
     assert empirical_average(f, u) == pytest.approx(direct, abs=1e-12)
 
@@ -463,9 +463,7 @@ def test_functions_take_any_point_tuple_as_its_array(call, tuple_cls):
 def test_validate_and_canonicalize_check_an_ordered_configurations_own_relation():
     far = lambda x, y: euclidean(x, y) > 1.5
     o = OrderedConfiguration(SORTED, far)
-    assert validate(o) == validate(SORTED, far) == (False, (0, 1))
-    assert validate(o, default_relation()) == (False, (0, 1))
+    assert validate(o) == (False, (0, 1))
     with pytest.raises(CompatibilityViolation) as err:
         canonicalize(o)
     assert err.value.pair == (0, 1)
-    assert validate(OrderedConfiguration(SORTED), far) == (True, None)

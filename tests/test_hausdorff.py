@@ -43,22 +43,22 @@ def brute_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def test_dist_to_set_singleton():
-    assert dist_to_set([0.0], Configuration.from_points([[1.0]])) == 1.0
+    assert dist_to_set([0.0], Configuration([[1.0]])) == 1.0
 
 
 def test_dist_to_set_membership():
-    v = Configuration.from_points([[0.0, 2.0], [1.0, 1.0]])
+    v = Configuration([[0.0, 2.0], [1.0, 1.0]])
     assert dist_to_set([1.0, 1.0], v) == 0.0
 
 
 def test_dist_to_set_linear_scan_oracle():
-    v = Configuration.from_points([[3.0, 4.0], [1.0, 1.0]])
+    v = Configuration([[3.0, 4.0], [1.0, 1.0]])
     assert dist_to_set([0.0, 0.0], v) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def test_dist_to_set_empty():
     with pytest.raises(EmptyConfiguration):
-        dist_to_set([0.0], Configuration.from_points(np.empty((0, 1))))
+        dist_to_set([0.0], Configuration(np.empty((0, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +66,19 @@ def test_dist_to_set_empty():
 # ---------------------------------------------------------------------------
 
 def test_two_singletons():
-    u = Configuration.from_points([[0.0]])
-    v = Configuration.from_points([[1.0]])
+    u = Configuration([[0.0]])
+    v = Configuration([[1.0]])
     assert hausdorff_distance(u, v) == 1.0
 
 
 def test_identity():
-    u = Configuration.from_points([[0.5, 0.25], [3.0, -1.0]])
+    u = Configuration([[0.5, 0.25], [3.0, -1.0]])
     assert hausdorff_distance(u, u) == 0.0
 
 
 def test_unequal_cardinalities():
-    u = Configuration.from_points([[0.0], [2.0]])
-    v = Configuration.from_points([[1.0]])
+    u = Configuration([[0.0], [2.0]])
+    v = Configuration([[1.0]])
     # sup formula by hand: d(0,{1})=1, d(2,{1})=1, d(1,{0,2})=1
     assert hausdorff_distance(u, v) == 1.0
 
@@ -105,23 +105,23 @@ def test_metric_axioms(rng):
 
 def test_zero_iff_equal_as_sets(rng):
     u = random_configuration(rng, 20, 2)
-    shuffled = Configuration.from_points(u.points[rng.permutation(20)])
+    shuffled = Configuration(u.points[rng.permutation(20)])
     assert hausdorff_distance(u, shuffled) == 0.0
     assert shuffled == u
-    v = Configuration.from_points(u.points + np.array([1e-13, 0.0]))
+    v = Configuration(u.points + np.array([1e-13, 0.0]))
     assert 0.0 < hausdorff_distance(u, v) <= u.tol_eq
 
 
 def test_extension_property(rng):
     u = random_configuration(rng, 25, 2)
     x = np.array([17.0, -3.0])
-    extended = Configuration.from_points(np.vstack([u.points, x]))
+    extended = Configuration(np.vstack([u.points, x]))
     assert hausdorff_distance(u, extended) == dist_to_set(x, u)
 
 
 def test_empty_rejected():
-    u = Configuration.from_points([[0.0]])
-    empty = Configuration.from_points(np.empty((0, 1)))
+    u = Configuration([[0.0]])
+    empty = Configuration(np.empty((0, 1)))
     with pytest.raises(EmptyConfiguration):
         hausdorff_distance(u, empty)
 
@@ -157,7 +157,7 @@ def test_index_nearest_matches_linear_scan(rng):
 
 
 def test_index_far_query():
-    u = Configuration.from_points([[0.0, 0.0], [1.0, 0.0]])
+    u = Configuration([[0.0, 0.0], [1.0, 0.0]])
     d, i = GridIndex(u).nearest([500.0, 500.0])
     assert d == pytest.approx(math.dist([500.0, 500.0], [1.0, 0.0]), abs=1e-12)
     assert i == 1
@@ -278,22 +278,22 @@ def test_one_pass_scan_equals_two_pass_across_blocks(rng):
 def test_indexed_identical_grids():
     side = np.arange(100, dtype=float)
     pts = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)  # 10^4 grid points
-    u = Configuration.from_points(pts)
+    u = Configuration(pts)
     assert hausdorff_distance_indexed(u, u) == 0.0
 
 
 def test_indexed_translation_is_exact_shift(rng):
     u = random_configuration(rng, 500, 2, scale=100.0)  # spacing >> 2h
     h = 0.25
-    v = Configuration.from_points(u.points + np.array([h, 0.0]))
+    v = Configuration(u.points + np.array([h, 0.0]))
     d_idx = hausdorff_distance_indexed(u, v)
     assert d_idx == pytest.approx(h, abs=1e-12)
     assert d_idx == pytest.approx(hausdorff_distance(u, v), abs=1e-12)
 
 
 def test_index_mismatch():
-    u = Configuration.from_points([[0.0], [1.0]])
-    v = Configuration.from_points([[5.0], [6.0]])
+    u = Configuration([[0.0], [1.0]])
+    v = Configuration([[5.0], [6.0]])
     idx_wrong = GridIndex(v)
     with pytest.raises(IndexMismatch):
         hausdorff_distance_indexed(u, v, idx_u=idx_wrong, idx_v=GridIndex(v))
@@ -305,8 +305,8 @@ def test_index_mismatch():
 
 def test_forced_merge_event():
     traj = [
-        (0.0, Configuration.from_points([[-1.0], [1.0]])),
-        (1.0, Configuration.from_points([[0.0]])),
+        (0.0, Configuration([[-1.0], [1.0]])),
+        (1.0, Configuration([[0.0]])),
     ]
     events = detect_stratum_events(traj, merge_tol=2.0)
     assert len(events) == 1
@@ -316,7 +316,7 @@ def test_forced_merge_event():
 
 
 def test_constant_trajectory_no_events():
-    u = Configuration.from_points([[0.0], [3.0]])
+    u = Configuration([[0.0], [3.0]])
     traj = [(float(t), u) for t in range(4)]
     assert detect_stratum_events(traj) == []
 
@@ -327,7 +327,7 @@ def test_two_particle_merge_at_final_sample():
     assert [e.time for e in events] == [1.0]
     assert events[0].kind == "merge"
     # converging pair approaches the single-point stratum continuously
-    target = Configuration.from_points([[0.0]])
+    target = Configuration([[0.0]])
     for t, u in traj:
         assert hausdorff_distance(u, target) == pytest.approx(1.0 - t, abs=1e-12)
 
@@ -335,8 +335,8 @@ def test_two_particle_merge_at_final_sample():
 def test_attribution_tie_goes_to_the_lowest_dst_index():
     # each odd src point is exactly equidistant from two dst points; 601
     # src points span three scan blocks
-    src = Configuration.from_points(np.arange(601.0))
-    dst = Configuration.from_points(np.arange(0.0, 601.0, 2.0))
+    src = Configuration(np.arange(601.0))
+    dst = Configuration(np.arange(0.0, 601.0, 2.0))
     for traj, kind in (([(0.0, src), (1.0, dst)], "merge"), ([(0.0, dst), (1.0, src)], "split")):
         (event,) = detect_stratum_events(traj, merge_tol=1.0)
         assert event.kind == kind
@@ -345,8 +345,8 @@ def test_attribution_tie_goes_to_the_lowest_dst_index():
 
 def test_split_event_symmetry():
     traj = [
-        (0.0, Configuration.from_points([[0.0]])),
-        (1.0, Configuration.from_points([[-0.1], [0.1]])),
+        (0.0, Configuration([[0.0]])),
+        (1.0, Configuration([[-0.1], [0.1]])),
     ]
     events = detect_stratum_events(traj, merge_tol=0.5)
     assert [e.kind for e in events] == ["split"]
@@ -355,14 +355,14 @@ def test_split_event_symmetry():
 
 def test_distant_disappearance_is_not_a_merge():
     traj = [
-        (0.0, Configuration.from_points([[0.0], [100.0]])),
-        (1.0, Configuration.from_points([[0.0]])),
+        (0.0, Configuration([[0.0], [100.0]])),
+        (1.0, Configuration([[0.0]])),
     ]
     assert detect_stratum_events(traj, merge_tol=1.0) == []
 
 
 def test_non_monotone_time():
-    u = Configuration.from_points([[0.0]])
+    u = Configuration([[0.0]])
     with pytest.raises(NonMonotoneTime):
         detect_stratum_events([(0.0, u), (0.0, u)])
 

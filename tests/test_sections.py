@@ -20,7 +20,7 @@ def line_grid(n=101, lo=0.0, hi=1.0):
 
 
 def fiber(*values):
-    return Configuration.from_points([[v] for v in values])
+    return Configuration([[v] for v in values])
 
 
 # ---------------------------------------------------------------------------
