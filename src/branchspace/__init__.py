@@ -25,7 +25,6 @@ from .charts import (
     build_chart,
     chart_apply,
     chart_invert,
-    separation,
     separations,
     transition,
     transition_jacobian,

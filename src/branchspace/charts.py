@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .config import DEFAULT_TOL_EQ, PointTuple, as_point_array, frozen, separations
@@ -40,11 +41,6 @@ class LocallyFiniteConfiguration(PointTuple):
     Point order is meaningful here (charts are indexed per point), so no
     canonicalization happens.
     """
-
-
-def separation(u: LocallyFiniteConfiguration, i: int) -> float:
-    """Separation of the i-th point; strictly positive for distinct points."""
-    return float(separations(u)[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +119,12 @@ def chart_apply(c: Chart, z) -> LocallyFiniteConfiguration:
     return LocallyFiniteConfiguration(out)
 
 
-def ball_assignment(c: Chart, v, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
+def ball_assignment(c: Chart, v) -> np.ndarray:
     """Match each chart ball to the unique point of v inside it.
 
     Returns pi with pi[i] = index into v of the point in ball i. Raises
     NotInDomain when a point lies in no ball, two points share a ball, or
-    a point sits on a ball boundary within tol_eq (the open domain
+    a point sits on a ball boundary within DEFAULT_TOL_EQ (the open domain
     excludes boundaries, so membership would be ambiguous).
     """
     pts = as_point_array(v)
@@ -139,7 +135,7 @@ def ball_assignment(c: Chart, v, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
     # base point can hold it or pass through it
     d, near = cKDTree(c.base.points).query(pts)
     r = c.radii[near]
-    on_boundary = np.abs(d - r) <= tol_eq
+    on_boundary = np.abs(d - r) <= DEFAULT_TOL_EQ
     if np.any(on_boundary):
         j = int(np.argmax(on_boundary))
         raise NotInDomain(f"point {j} lies on the boundary of ball {near[j]} within tol_eq")
@@ -154,46 +150,45 @@ def ball_assignment(c: Chart, v, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
     return pi
 
 
-def chart_invert(c: Chart, v, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
+def chart_invert(c: Chart, v) -> np.ndarray:
     """Inverse chart map: coordinates z with chart_apply(c, z) = v.
 
     Defined when every point of v sits strictly inside exactly one ball;
     otherwise NotInDomain.
     """
     pts = as_point_array(v)
-    pi = ball_assignment(c, pts, tol_eq=tol_eq)
+    pi = ball_assignment(c, pts)
     return (pts[pi] - c.base.points) / c.radii[:, None]
 
 
-def transition(c1: Chart, c2: Chart, z, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
+def _in_overlap(step, c1: Chart, c2: Chart, z):
+    """step(c1, chart_apply(c2, z)) for a step that assigns the image to
+    c1's balls; NotInOverlap when the image leaves the domain of c1."""
+    try:
+        return step(c1, chart_apply(c2, z))
+    except NotInDomain as err:
+        raise NotInOverlap(str(err)) from err
+
+
+def transition(c1: Chart, c2: Chart, z) -> np.ndarray:
     """Transition map between charts: invert c1 after applying c2.
 
     On the overlap this is affine in each matched coordinate block with
     scale eps2_j / eps1_i. Raises NotInOverlap when the image of z leaves
     the domain of c1.
     """
-    image = chart_apply(c2, z)
-    try:
-        return chart_invert(c1, image, tol_eq=tol_eq)
-    except NotInDomain as err:
-        raise NotInOverlap(str(err)) from err
+    return _in_overlap(chart_invert, c1, c2, z)
 
 
-def transition_jacobian(c1: Chart, c2: Chart, z, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
-    """Analytic Jacobian of transition(c1, c2, .) at z, as an
-    (n*d, n*d) matrix: block (i, pi(i)) equals (eps2_pi(i)/eps1_i) * I."""
-    image = chart_apply(c2, z)
-    try:
-        pi = ball_assignment(c1, image, tol_eq=tol_eq)
-    except NotInDomain as err:
-        raise NotInOverlap(str(err)) from err
+def transition_jacobian(c1: Chart, c2: Chart, z) -> csr_array:
+    """Analytic Jacobian of transition(c1, c2, .) at z, as a sparse
+    (n*d, n*d) block permutation with n*d stored values: block
+    (i, pi(i)) equals (eps2_pi(i)/eps1_i) * I."""
+    pi = _in_overlap(ball_assignment, c1, c2, z)
     n, d = len(c1), c1.base.dimension
-    jac = np.zeros((n * d, n * d))
-    for i in range(n):
-        j = int(pi[i])
-        scale = c2.radii[j] / c1.radii[i]
-        jac[i * d : (i + 1) * d, j * d : (j + 1) * d] = scale * np.eye(d)
-    return jac
+    cols = (pi[:, None] * d + np.arange(d)).ravel()
+    scales = np.repeat(c2.radii[pi] / c1.radii, d)
+    return csr_array((scales, (np.arange(n * d), cols)), shape=(n * d, n * d))
 
 
 # ---------------------------------------------------------------------------

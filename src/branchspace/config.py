@@ -48,8 +48,8 @@ def as_point_array(points, dim: int | None = None) -> np.ndarray:
     """Coerce a point tuple or a sequence of points to a finite (n, d) float array."""
     arr = points.points if isinstance(points, PointTuple) else np.asarray(points, dtype=float)
     if arr.ndim == 1:
-        # allow a flat list of 1-d points
-        arr = arr.reshape(-1, 1)
+        # a flat list of 1-d points; an empty one takes a valid dim it is given
+        arr = arr.reshape((0, dim) if arr.size == 0 and dim is not None and dim > 0 else (-1, 1))
     if arr.ndim != 2:
         raise ValueError(f"expected an (n, d) array of points, got shape {arr.shape}")
     if arr.shape[0] > 0 and arr.shape[1] == 0:
@@ -156,36 +156,40 @@ class Configuration(PointTuple):
 
 def separations(u) -> np.ndarray:
     """Distance from each point to the rest of the configuration, 0 for a
-    point with an exact copy.
-
-    A kd-tree cannot split a pile of equal points, so the sorted rows
-    equal to their neighbour are collapsed first and one query runs over
-    the distinct rows only: O(n log n) at every n."""
+    point with an exact copy."""
     pts = as_point_array(u)
     if pts.shape[0] < 2:
         raise SingletonConfiguration("separation needs at least two points")
     order = canonical_order(pts)
-    rows = pts[order]
+    out = np.empty(pts.shape[0])
+    out[order] = _sorted_separations(pts[order])
+    return out
+
+
+def _sorted_separations(rows: np.ndarray) -> np.ndarray:
+    """separations of at least two rows already in canonical order.
+
+    A kd-tree cannot split a pile of equal points, so the rows equal to
+    their neighbour are collapsed first and one query runs over the
+    distinct rows only: O(n log n) at every n."""
     new = np.ones(rows.shape[0], dtype=bool)
     new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    pile = np.cumsum(new) - 1  # each sorted row's distinct row
+    pile = np.cumsum(new) - 1  # each row's distinct row
     distinct = rows[new]
     dist, _ = cKDTree(distinct).query(distinct, k=2)
     sep = dist[:, 1]
     sep[np.bincount(pile) > 1] = 0.0
-    out = np.empty(pts.shape[0])
-    out[order] = sep[pile]
-    return out
+    return sep[pile]
 
 
 def _check_distinct(points: np.ndarray, tol_eq: float) -> None:
-    """Reject coincident points: the point of least separation must be
-    further than tol_eq from the rest. Otherwise its pair with its nearest
-    point is reported, i < j; for a pile of equal sorted points that is
-    the pile's first two rows."""
+    """Reject coincident points among rows in canonical order: the point of
+    least separation must be further than tol_eq from the rest. Otherwise
+    its pair with its nearest point is reported, i < j; for a pile of
+    equal sorted points that is the pile's first two rows."""
     if points.shape[0] < 2:
         return
-    sep = separations(points)
+    sep = _sorted_separations(points)
     i = int(np.argmin(sep))
     if sep[i] > tol_eq:
         return

@@ -181,9 +181,14 @@ def detect_stratum_events(
         if not b > a:
             raise NonMonotoneTime(f"times must be strictly increasing, got {a} then {b}")
     frames = [u for _, u in traj]
-    for u in frames:
+    for k, u in enumerate(frames):
         if len(u) == 0:
-            raise EmptyConfiguration("trajectory frames must be nonempty")
+            raise EmptyConfiguration(f"trajectory frames must be nonempty, frame {k} is empty")
+        if u.dimension != frames[0].dimension:
+            raise ValueError(
+                f"trajectory frames must share one dimension, frame {k} has "
+                f"{u.dimension} and frame 0 has {frames[0].dimension}"
+            )
 
     events: list[StratumEvent] = []
     for k in range(1, len(frames)):

@@ -69,10 +69,6 @@ def support_mask(f: GridFunction, tol_supp: float = DEFAULT_TOL_SUPP) -> np.ndar
     return np.abs(f.values) > tol_supp
 
 
-def has_compact_support(f: GridFunction, tol_supp: float = DEFAULT_TOL_SUPP) -> bool:
-    return not np.any(support_mask(f, tol_supp) & boundary_layer(f.shape))
-
-
 def _same_grid(f: GridFunction, g: GridFunction) -> bool:
     return (
         f.shape == g.shape

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from branchspace import (
     Chart,
@@ -15,7 +16,6 @@ from branchspace import (
     build_chart,
     chart_apply,
     chart_invert,
-    separation,
     separations,
     transition,
     transition_jacobian,
@@ -42,9 +42,9 @@ def random_window(rng, n, dim, scale=10.0):
 
 def test_separation_nearest_neighbor_scan():
     u = three_points()
-    assert separation(u, 0) == 1.0
-    assert separation(u, 1) == 1.0
-    assert separation(u, 2) == 2.0
+    assert separations(u)[0] == 1.0
+    assert separations(u)[1] == 1.0
+    assert separations(u)[2] == 2.0
 
 
 def test_separation_uniform_grid_interior():
@@ -408,7 +408,7 @@ def test_transition_jacobian_matches_finite_differences(rng):
         n = int(rng.integers(2, 7))
         c1, c2 = overlapping_charts(rng, n, 2)
         z = rng.uniform(-0.2, 0.2, size=(n, 2))
-        analytic = transition_jacobian(c1, c2, z)
+        analytic = transition_jacobian(c1, c2, z).toarray()
         numeric = central_difference_jacobian(lambda zz: transition(c1, c2, zz), z)
         assert np.allclose(numeric, analytic, atol=1e-6)
         # block structure: one scale per matched block, identity within
@@ -417,6 +417,37 @@ def test_transition_jacobian_matches_finite_differences(rng):
             row = analytic[i * d : (i + 1) * d]
             nz = np.flatnonzero(np.any(row != 0.0, axis=0))
             assert len(nz) == d and nz[1] == nz[0] + 1
+
+
+def jacobian_by_definition(c1, c2, pi):
+    n, d = len(c1), c1.base.dimension
+    jac = np.zeros((n * d, n * d))
+    for i in range(n):
+        j = int(pi[i])
+        jac[i * d : (i + 1) * d, j * d : (j + 1) * d] = (c2.radii[j] / c1.radii[i]) * np.eye(d)
+    return jac
+
+
+def test_transition_jacobian_is_the_sparse_block_permutation(rng):
+    for d in (1, 2, 3):
+        for _ in range(5):
+            n = int(rng.integers(2, 40))
+            c1, c2 = overlapping_charts(rng, n, d)
+            perm = rng.permutation(n)
+            # point k of the shuffled c2 lies in ball perm[k] of c1
+            c2 = Chart(c2.base.points[perm], c2.radii[perm])
+            z = rng.uniform(-0.2, 0.2, size=(n, d))
+            jac = transition_jacobian(c1, c2, z)
+            assert isinstance(jac, csr_array) and jac.nnz == n * d
+            assert np.array_equal(jac.toarray(), jacobian_by_definition(c1, c2, np.argsort(perm)))
+
+
+def test_transition_jacobian_holds_only_its_block_values():
+    n, d = 10**5, 3
+    chart = build_chart(np.random.default_rng(1).uniform(size=(n, d)))
+    jac = transition_jacobian(chart, chart, np.zeros((n, d)))
+    assert jac.shape == (n * d, n * d) and jac.nnz == n * d
+    assert jac.data.nbytes + jac.indices.nbytes + jac.indptr.nbytes < 10 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,33 @@ def test_simulate_nonmonotone_times_rejected(capsys, tmp_path):
     assert code == 2
 
 
+def test_simulate_frames_of_another_dimension_rejected(capsys, tmp_path):
+    frames = [[[0.0], [1.0]], [[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0]]]
+    traj = {"times": [0.0, 1.0, 2.0], "frames": [{"dim": len(f[0]), "points": f} for f in frames]}
+    path = tmp_path / "traj.json"
+    path.write_text(json.dumps(traj))
+    code, out, err = run(capsys, "simulate", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "frame 1 has 2 and frame 0 has 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["hausdorff", "{empty}", "{pair}"], "hausdorff distance needs nonempty configurations"),
+        (["hausdorff", "{pair}", "{empty}"], "hausdorff distance needs nonempty configurations"),
+        (["chart", "--input", "{empty}"], "charts need at least two points"),
+    ],
+)
+def test_an_empty_configuration_file_exits_2_with_the_reason(capsys, tmp_path, argv, reason):
+    files = {"empty": tmp_path / "empty.json", "pair": tmp_path / "pair.json"}
+    files["empty"].write_text(json.dumps({"dim": 2, "points": []}))
+    files["pair"].write_text(json.dumps({"dim": 2, "points": [[0.0, 0.0], [1.0, 1.0]]}))
+    code, _, err = run(capsys, *[arg.format(**files) for arg in argv])
+    assert code == 2
+    assert reason in err
+
+
 # ---------------------------------------------------------------------------
 # chart
 # ---------------------------------------------------------------------------

@@ -337,6 +337,12 @@ def test_json_roundtrip_canonicalizes(tmp_path):
     assert json.loads(path.read_text())["points"] == out["points"]
 
 
+def test_an_empty_configuration_file_keeps_its_dimension():
+    for dim in (1, 2, 3):
+        u = configuration_from_dict({"dim": dim, "points": []})
+        assert u.points.shape == (0, dim) and configuration_to_dict(u) == {"dim": dim, "points": []}
+
+
 @pytest.mark.parametrize("tol_eq", [-1.0, 0.0, math.nan, math.inf])
 def test_nonpositive_or_nonfinite_tol_eq_rejected(tol_eq):
     with pytest.raises(ValueError, match="tol_eq"):

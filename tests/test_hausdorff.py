@@ -367,6 +367,25 @@ def test_non_monotone_time():
         detect_stratum_events([(0.0, u), (0.0, u)])
 
 
+@pytest.mark.parametrize(
+    "frames",
+    [
+        [[[0.0], [1.0]], [[0.0, 0.0]]],  # a merge across dimensions
+        [[[0.0], [1.0]], [[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0]]],  # no change at frame 1
+    ],
+)
+def test_frames_of_another_dimension_are_rejected_by_index(frames):
+    traj = [(float(t), Configuration(f)) for t, f in enumerate(frames)]
+    with pytest.raises(ValueError, match="frame 1 has 2 and frame 0 has 1"):
+        detect_stratum_events(traj)
+
+
+def test_an_empty_frame_is_rejected_by_index():
+    u = Configuration([[0.0, 0.0]])
+    with pytest.raises(EmptyConfiguration, match="frame 2 is empty"):
+        detect_stratum_events([(0.0, u), (1.0, u), (2.0, Configuration(np.empty((0, 2))))])
+
+
 def test_trajectory_json_roundtrip_and_event_lines():
     traj = two_particle_merge_trajectory([0.0, 0.5, 1.0])
     obj = trajectory_to_dict(traj)

@@ -14,7 +14,6 @@ from branchspace import (
 from branchspace.measure import (
     grid_from_dict,
     grid_to_dict,
-    has_compact_support,
     make_growing_bump_path,
     make_translated_bump_path,
     read_grid,
@@ -75,7 +74,6 @@ def test_volume_additivity(rng):
 
 def test_support_touching_boundary_rejected():
     f = bump((6, 6), (slice(0, 2), slice(2, 4)))
-    assert not has_compact_support(f)
     with pytest.raises(SupportTouchesBoundary):
         support_class(f)
 
