@@ -74,7 +74,7 @@ class Chart:
         """Check the radius invariants, with a relative _VERIFY_SLACK for
         equality cases (radii from build_chart sit exactly on the bounds)."""
         r = self.radii
-        if np.any(r <= 0):
+        if not np.all(r > 0):
             return False, "radii must be strictly positive"
         # 2 eps_i <= sep_i for every i also makes the balls disjoint:
         # eps_i + eps_j <= (sep_i + sep_j) / 2 <= |u_i - u_j|.

@@ -34,9 +34,11 @@ from .errors import EmptyConfiguration, IndexMismatch, NonMonotoneTime
 
 DEFAULT_MERGE_TOL = 10 * DEFAULT_TOL_EQ
 
-# Rows per block when scanning distance matrices, keeps peak memory at
-# ~block * n doubles.
-_BLOCK = 256
+# Distances per block of the reference scan: 2 MB of doubles.
+_BLOCK_CELLS = 2**18
+# Relative gap below which kd-tree distances are not trusted to order as
+# cdist's do (for d >= 8 it sums squares in another order).
+_NEAR = 1e-12
 
 
 def _scan(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -47,8 +49,9 @@ def _scan(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     is bit-identical to reducing rooted distances."""
     worst = 0.0
     col = np.full(b.shape[0], np.inf)
-    for lo in range(0, a.shape[0], _BLOCK):
-        d2 = cdist(a[lo : lo + _BLOCK], b, "sqeuclidean")
+    rows = max(1, _BLOCK_CELLS // b.shape[0])
+    for lo in range(0, a.shape[0], rows):
+        d2 = cdist(a[lo : lo + rows], b, "sqeuclidean")
         worst = max(worst, float(d2.min(axis=1).max()))
         np.minimum(col, d2.min(axis=0), out=col)
     return float(np.sqrt(worst)), float(np.sqrt(col.max()))
@@ -154,17 +157,6 @@ class StratumEvent:
         }
 
 
-def _attribution_clusters(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Map each src point to its nearest dst point (ties resolve to the
-    first, i.e. canonically smallest, index); return dst points that
-    receive at least two src points."""
-    assign = np.concatenate(
-        [np.argmin(cdist(src[lo : lo + _BLOCK], dst), axis=1) for lo in range(0, src.shape[0], _BLOCK)]
-    )
-    counts = np.bincount(assign, minlength=dst.shape[0])
-    return dst[counts >= 2]
-
-
 def detect_stratum_events(
     traj: Sequence[tuple[float, Configuration]],
     merge_tol: float = DEFAULT_MERGE_TOL,
@@ -197,8 +189,15 @@ def detect_stratum_events(
         if n_new == n_old:
             continue
         kind, src, dst = ("merge", old, new) if n_new < n_old else ("split", new, old)
-        if _scan(src, dst)[0] <= merge_tol:
-            events.append(StratumEvent(times[k], kind, n_old, n_new, _attribution_clusters(src, dst)))
+        near, nearest = cKDTree(dst).query(src, k=2)
+        d = near[:, 0]
+        # rows within _NEAR of merge_tol are decided by the reference scan
+        if d.max() <= merge_tol * (1 + _NEAR) and _scan(src[d > merge_tol * (1 - _NEAR)], dst)[0] <= merge_tol:
+            # each src point goes to its nearest dst point, a tie to the lowest index
+            tie = np.flatnonzero(near[:, 1] <= d * (1 + _NEAR))
+            nearest[tie, 0] = [np.argmin(cdist(src[i : i + 1], dst)) for i in tie]
+            counts = np.bincount(nearest[:, 0], minlength=dst.shape[0])
+            events.append(StratumEvent(times[k], kind, n_old, n_new, dst[counts >= 2]))
     return events
 
 

@@ -36,13 +36,13 @@ class GridFunction:
         vals = frozen(self.values)
         if vals.ndim < 1:
             raise ValueError("grid values must have at least one axis")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid values must be finite")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        origin = frozen(np.zeros(vals.ndim) if self.origin is None else np.reshape(self.origin, vals.ndim))
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(origin))):
+            raise ValueError("grid values and origin must be finite")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError("spacing must be finite and positive")
         object.__setattr__(self, "values", vals)
-        origin = np.zeros(vals.ndim) if self.origin is None else np.reshape(self.origin, vals.ndim)
-        object.__setattr__(self, "origin", frozen(origin))
+        object.__setattr__(self, "origin", origin)
 
     @property
     def dimension(self) -> int:
@@ -290,6 +290,7 @@ def write_grid(f: GridFunction, path) -> None:
 
 
 def read_grid(path) -> GridFunction:
-    if str(path).endswith(".json"):
-        return grid_from_dict(read_json(path))
-    return read_grid_text(path)
+    try:
+        return grid_from_dict(read_json(path)) if str(path).endswith(".json") else read_grid_text(path)
+    except (KeyError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from err

@@ -161,6 +161,15 @@ def test_chart_invariant_enforced():
         Chart(LocallyFiniteConfiguration([[0.0], [1e-13]]), np.array([5e-13, 5e-13]))
 
 
+def test_nan_radii_are_rejected():
+    with pytest.raises(ValueError, match="strictly positive"):
+        Chart([[0.0], [1.0]], [np.nan, np.nan])
+    obj = chart_to_dict(build_chart(three_points()))
+    obj["radii"][1] = float("nan")
+    with pytest.raises(ValueError, match="strictly positive"):
+        chart_from_dict(obj)
+
+
 # ---------------------------------------------------------------------------
 # verify and ball_assignment against their n x n definitions
 # ---------------------------------------------------------------------------

@@ -433,6 +433,20 @@ def test_measure_frame_directory(capsys, tmp_path):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("n_frames", [1, 2])
+def test_measure_frame_with_nan_spacing_is_named(capsys, tmp_path, n_frames):
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    for i in range(n_frames):
+        (frame_dir / f"frame_{i}.txt").write_text("3\nnan\n0.0\n0\n1\n0\n")
+    write_grid(GridFunction(np.array([0.0, 1.0, 0.0]), 0.1), tmp_path / "region.json")
+    code, _, err = run(
+        capsys, "measure", "--frames", str(frame_dir), "--region", str(tmp_path / "region.json")
+    )
+    assert code == 2
+    assert "frame_0.txt: spacing must be finite and positive" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

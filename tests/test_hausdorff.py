@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -23,6 +23,7 @@ from branchspace import (
     two_particle_merge_trajectory,
 )
 from branchspace.hausdorff import (
+    _BLOCK_CELLS,
     events_to_json_lines,
     trajectory_from_dict,
     trajectory_to_dict,
@@ -271,8 +272,69 @@ def test_one_pass_scan_equals_two_pass_property(pair):
 
 
 def test_one_pass_scan_equals_two_pass_across_blocks(rng):
-    for n, m, d in ((255, 257, 1), (256, 700, 2), (700, 3, 3), (1, 513, 2)):
+    # a block holds max(1, _BLOCK_CELLS // m) of the n rows scanned against
+    # m columns; every shape crosses a block edge in at least one direction,
+    # and the last scans one row per block
+    r = math.isqrt(_BLOCK_CELLS)
+    shapes = (
+        (r + 1, r, 1),
+        (2 * (_BLOCK_CELLS // 700) + 1, 700, 2),
+        (_BLOCK_CELLS // 40 + 1, 40, 3),
+        (1, _BLOCK_CELLS + 1, 2),
+    )
+    for n, m, d in shapes:
         assert_one_pass_is_two_pass(rng.uniform(-5.0, 5.0, size=(n, d)), rng.uniform(-5.0, 5.0, size=(m, d)))
+
+
+@st.composite
+def lattice_trajectories(draw):
+    """A merge, a split and a non-local merge between a frame of integer
+    lattice points (d = 1..3 or 8, scaled) and a larger frame holding some
+    of them and cell centres. A centre is equidistant from the 2 to 2^d
+    corners of its cell, so attribution meets exact ties (and, scaled by
+    0.1 or 1/3, near ties). merge_tol is the directed distance of the merge
+    or one ulp either side."""
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    corner = st.lists(st.integers(0, 4 if d < 8 else 1), min_size=d, max_size=d)
+    small = np.unique(np.array(draw(st.lists(corner, min_size=1, max_size=12)), float), axis=0)
+    centres = np.array(draw(st.lists(corner, min_size=1, max_size=12)), float) + 0.5
+    kept = small[: draw(st.integers(0, small.shape[0]))]
+    big = np.unique(np.concatenate([kept, centres]), axis=0)
+    assume(big.shape[0] > small.shape[0])
+    scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+    u, w = Configuration(big * scale), Configuration(small * scale)
+    far = Configuration(small * scale + 100.0)
+    merge_tol = two_pass_directed(u.points, w.points)
+    merge_tol = [np.nextafter(merge_tol, 0.0), merge_tol, np.nextafter(merge_tol, np.inf)][draw(st.integers(0, 2))]
+    return [(0.0, u), (1.0, w), (2.0, u), (3.0, far)], float(merge_tol)
+
+
+# a cell centre whose two nearest corners the kd-tree (d >= 8) and cdist order apart
+D8_NEAR_TIE = np.array([[0, 1, 0, 0, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1, 1, 0], [0.5, 1.5, 0.5, 0.5, 0.5, 1.5, 1.5, 1.5]]) * 0.1
+
+
+@given(lattice_trajectories())
+@example(([(0.0, Configuration([[0.0], [1.0]])), (1.0, Configuration([[0.5]]))], 0.5))  # a one-point dst
+@example(([(0.0, Configuration(D8_NEAR_TIE)), (1.0, Configuration(D8_NEAR_TIE[:2]))], 0.25))
+@settings(deadline=None, max_examples=300)
+def test_events_equal_two_pass_on_lattice_ties(case):
+    traj, merge_tol = case
+    got = [(e.time, e.kind, e.location.tolist()) for e in detect_stratum_events(traj, merge_tol)]
+    assert got == two_pass_events(traj, merge_tol)
+
+
+def test_a_lattice_merge_sends_each_cell_centre_to_its_lowest_corner():
+    # 39^2 grid points and the 38^2 centres of their cells (2965 points)
+    # merge onto the grid; each centre ties four ways at merge_tol
+    k = 38
+    grid = np.stack(np.meshgrid(np.arange(k + 1.0), np.arange(k + 1.0), indexing="ij"), axis=-1).reshape(-1, 2)
+    centres = grid[(grid[:, 0] < k) & (grid[:, 1] < k)] + 0.5
+    u, w = Configuration(np.concatenate([grid, centres])), Configuration(grid)
+    traj = [(0.0, u), (1.0, w)]
+    merge_tol = two_pass_directed(u.points, w.points)
+    (event,) = detect_stratum_events(traj, merge_tol)
+    assert event.location.tolist() == (centres - 0.5).tolist()
+    assert [(event.time, event.kind, event.location.tolist())] == two_pass_events(traj, merge_tol)
 
 
 def test_indexed_identical_grids():
@@ -333,8 +395,7 @@ def test_two_particle_merge_at_final_sample():
 
 
 def test_attribution_tie_goes_to_the_lowest_dst_index():
-    # each odd src point is exactly equidistant from two dst points; 601
-    # src points span three scan blocks
+    # each odd src point is exactly equidistant from two dst points
     src = Configuration(np.arange(601.0))
     dst = Configuration(np.arange(0.0, 601.0, 2.0))
     for traj, kind in (([(0.0, src), (1.0, dst)], "merge"), ([(0.0, dst), (1.0, src)], "split")):

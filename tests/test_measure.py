@@ -232,3 +232,24 @@ def test_text_and_json_roundtrip(tmp_path):
     assert np.array_equal(h.values, f.values)
 
     assert grid_from_dict(grid_to_dict(f)).shape == (5, 6)
+
+
+@pytest.mark.parametrize("spacing", [0.0, -0.1, np.nan, np.inf])
+def test_spacing_must_be_finite_and_positive(spacing):
+    with pytest.raises(ValueError, match="spacing must be finite and positive"):
+        GridFunction(np.zeros((3, 3)), spacing)
+
+
+@pytest.mark.parametrize("origin", [[np.nan, 0.0], [0.0, -np.inf]])
+def test_origin_must_be_finite(origin):
+    with pytest.raises(ValueError, match="origin must be finite"):
+        GridFunction(np.zeros((3, 3)), 0.1, origin)
+
+
+def test_a_malformed_grid_file_is_named(tmp_path):
+    (tmp_path / "bad.txt").write_text("3\nnan\n0.0\n0\n0\n0\n")
+    with pytest.raises(ValueError, match="bad.txt: spacing must be finite and positive"):
+        read_grid(tmp_path / "bad.txt")
+    (tmp_path / "bad.json").write_text('{"dims": [2], "h": 0.1, "values": [0, 0]}')
+    with pytest.raises(ValueError, match="bad.json: 'origin'"):
+        read_grid(tmp_path / "bad.json")
