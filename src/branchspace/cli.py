@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse error (bad flags or malformed inputs),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -116,11 +117,18 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _kv_csv(obj: dict) -> str:
-    lines = ["key,value"]
-    for k in sorted(obj):
-        lines.append(f"{k},{obj[k]}")
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    """The header line, then one line of comma-joined str() fields per row."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def _load(parse, path, **kw):
+    """parse(JSON value of the file at path), naming the file when its
+    content has the wrong shape."""
+    try:
+        return parse(read_json(path), **kw)
+    except (KeyError, TypeError, IndexError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def tolerance(text: str) -> float:
@@ -184,16 +192,15 @@ def parse_linear_field(expr: str):
 def cmd_hausdorff(args) -> int:
     if args.bench is not None:
         result = benchmark(args.bench, dimension=args.dim, seed=args.seed)
-        _emit(args, _kv_csv(result) if args.format == "csv" else _dumps(result))
-        return 0
-    if not args.left or not args.right:
+    elif not args.left or not args.right:
         sys.stderr.write("hausdorff: need two configuration files (or --bench N)\n")
         return PARSE_ERROR
-    u = configuration_from_dict(read_json(args.left), tol_eq=args.tol_eq)
-    v = configuration_from_dict(read_json(args.right), tol_eq=args.tol_eq)
-    d = hausdorff_distance_indexed(u, v) if args.indexed else hausdorff_distance(u, v)
-    result = {"distance": d, "n_left": len(u), "n_right": len(v), "indexed": bool(args.indexed)}
-    _emit(args, _kv_csv(result) if args.format == "csv" else _dumps(result))
+    else:
+        u = _load(configuration_from_dict, args.left, tol_eq=args.tol_eq)
+        v = _load(configuration_from_dict, args.right, tol_eq=args.tol_eq)
+        d = hausdorff_distance_indexed(u, v) if args.indexed else hausdorff_distance(u, v)
+        result = {"distance": d, "n_left": len(u), "n_right": len(v), "indexed": bool(args.indexed)}
+    _emit(args, _csv("key,value", sorted(result.items())) if args.format == "csv" else _dumps(result))
     return 0
 
 
@@ -207,15 +214,13 @@ def cmd_simulate(args) -> int:
             # time step away from the survivor at the merge sample
             merge_tol = 2.0 / max(args.steps - 1, 1)
     else:
-        traj = trajectory_from_dict(read_json(args.input), tol_eq=args.tol_eq)
+        traj = _load(trajectory_from_dict, args.input, tol_eq=args.tol_eq)
     if merge_tol is None:
         merge_tol = DEFAULT_MERGE_TOL
     events = detect_stratum_events(traj, merge_tol=merge_tol)
     if args.format == "csv":
-        lines = ["t,kind,from,to"] + [
-            f"{e.time},{e.kind},{e.before_cardinality},{e.after_cardinality}" for e in events
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+        rows = [(e.time, e.kind, e.before_cardinality, e.after_cardinality) for e in events]
+        _emit(args, _csv("t,kind,from,to", rows))
     else:
         _emit(args, events_to_json_lines(events))
     return 0
@@ -225,7 +230,7 @@ def cmd_chart(args) -> int:
     if args.demo:
         base = [[0.0], [1.0], [3.0]]
     else:
-        base = configuration_from_dict(read_json(args.input), tol_eq=args.tol_eq)
+        base = _load(configuration_from_dict, args.input, tol_eq=args.tol_eq)
     # the Chart constructor has verified the radii, disjoint balls included
     chart = build_chart(base, tol_eq=args.tol_eq)
     _emit(args, _dumps(dict(chart_to_dict(chart), disjoint=True)))
@@ -239,7 +244,7 @@ def cmd_branched_path(args) -> int:
             args.parser.error(f"argument --samples: must be at least {least} at --jet-order {args.jet_order}")
         bp = make_split_loop(m=args.samples, final_offset=(0.0, args.perturb))
     else:
-        bp = branched_path_from_dict(read_json(args.input))
+        bp = _load(branched_path_from_dict, args.input)
 
     report = validate_branched(bp, tol_eq=args.tol_eq)
     if not report.ok:
@@ -278,8 +283,7 @@ def cmd_bifurcate(args) -> int:
     if args.format == "json":
         _emit(args, _dumps({"rows": [[a, x] for a, x in rows]}))
     else:
-        lines = ["A,orbit_point"] + [f"{a!r},{x!r}" for a, x in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _csv("A,orbit_point", rows))
     return 0
 
 
@@ -311,13 +315,7 @@ def cmd_measure(args) -> int:
             return PARSE_ERROR
         region = support_mask(read_grid(args.region), args.tol_supp)
     report = validate_constant_volume_path(frames, region, tol_supp=args.tol_supp)
-    out = {
-        "ok": report.ok,
-        "violating_step": report.violating_step,
-        "cells_in_region": list(report.cells_in_region),
-        "ring_clear": list(report.ring_clear),
-    }
-    _emit(args, _dumps(out))
+    _emit(args, _dumps(dataclasses.asdict(report)))
     if not report.ok:
         sys.stderr.write(f"measure: volume changed at step {report.violating_step}\n")
         return VALIDATION_FAILURE
@@ -391,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "branched-path", cmd_branched_path, "validate a branched path; report junction jets", ("json", "dot")
     )
-    _, input_ = demo_or_input(p, ["paper-circle", "circle-split"], "branched path JSON file")
+    _, input_ = demo_or_input(p, ["paper-circle"], "branched path JSON file")
     mode_flag(p, input_, "--perturb", type=finite, default=0.0, help="translate the demo's final segment in y")
     mode_flag(p, input_, "--samples", type=count, default=256, help="samples per demo segment")
     p.add_argument("--jet-order", dest="jet_order", type=int, choices=range(1, MAX_JET_ORDER + 1), default=3)

@@ -212,9 +212,7 @@ def _polish_orbit(a: float, p: int, seed: float, orbit_tol: float) -> PeriodicOr
     return None
 
 
-def orbit_for_period(
-    a: float, p: int, seeds, orbit_tol: float = DEFAULT_ORBIT_TOL
-) -> PeriodicOrbit | None:
+def orbit_for_period(a: float, p: int, seeds) -> PeriodicOrbit | None:
     """Continue a known period-p orbit to parameter a from seed points.
 
     Unlike logistic_attractor this works on unstable orbits too (Newton
@@ -225,7 +223,7 @@ def orbit_for_period(
     """
     a = _validate_parameter(a)
     for seed in seeds:
-        root = _newton_polish(a, p, float(seed), orbit_tol)
+        root = _newton_polish(a, p, float(seed), DEFAULT_ORBIT_TOL)
         if root is None or _primitive_period(a, root, p, 1e-7) < p:
             continue  # off the branch or on a lower-period root
         pts = _cycle_points(a, root, p)
@@ -252,7 +250,7 @@ def bifurcation_points(k_max: int) -> tuple[float, ...]:
         p = 2 ** (k - 1)
         # refresh the seeds from the attractor just above the previous
         # doubling, where the period-p orbit is comfortably stable
-        att = logistic_attractor(a_lo, max_period=max(p, 1))
+        att = logistic_attractor(a_lo, max_period=p)
         if not isinstance(att, PeriodicOrbit) or att.period != p:
             raise RuntimeError(f"no stable period-{p} orbit at a={a_lo}")
 

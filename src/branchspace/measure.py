@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage  # erosion, dilation and label default to face adjacency
 
 from .config import frozen, read_json, write_json
 from .errors import GridMismatch, SupportTouchesBoundary
@@ -58,11 +58,7 @@ class GridFunction:
 
 def boundary_layer(shape: tuple[int, ...]) -> np.ndarray:
     """Mask of the outermost one-cell layer of the lattice."""
-    mask = np.ones(shape, dtype=bool)
-    interior = tuple(slice(1, -1) for _ in shape)
-    if all(s > 2 for s in shape):
-        mask[interior] = False
-    return mask
+    return ~ndimage.binary_erosion(np.ones(shape, dtype=bool))
 
 
 def support_mask(f: GridFunction, tol_supp: float = DEFAULT_TOL_SUPP) -> np.ndarray:
@@ -123,9 +119,8 @@ def support_class(f: GridFunction, tol_supp: float = DEFAULT_TOL_SUPP) -> Suppor
     mask = support_mask(f, tol_supp)
     if np.any(mask & boundary_layer(f.shape)):
         raise SupportTouchesBoundary("support reaches the boundary layer of the grid")
-    structure = ndimage.generate_binary_structure(f.dimension, 1)  # faces only
-    labels, count = ndimage.label(mask, structure=structure)
-    cells = tuple(int(c) for c in np.bincount(labels.ravel())[1:].tolist()) if count else ()
+    labels, _ = ndimage.label(mask)
+    cells = tuple(np.bincount(labels.ravel())[1:].tolist())
     return SupportClass(mask=mask, labels=labels, component_cells=cells, spacing=f.spacing)
 
 
@@ -139,8 +134,7 @@ def r_equivalent(f: GridFunction, g: GridFunction, tol_supp: float = DEFAULT_TOL
 def region_ring(region: np.ndarray) -> np.ndarray:
     """One-cell face-adjacent ring around a region mask (closure minus
     interior, clipped to the lattice)."""
-    structure = ndimage.generate_binary_structure(region.ndim, 1)
-    return ndimage.binary_dilation(region, structure=structure) & ~region
+    return ndimage.binary_dilation(region) & ~region
 
 
 @dataclass(frozen=True)
@@ -179,12 +173,9 @@ def validate_constant_volume_path(
         raise GridMismatch("region mask shape differs from the frames")
     ring = region_ring(region)
 
-    cells = []
-    clear = []
-    for f in frames:
-        mask = support_mask(f, tol_supp)
-        cells.append(int(np.count_nonzero(mask & region)))
-        clear.append(not np.any(np.abs(f.values[ring]) > tol_supp))
+    masks = [support_mask(f, tol_supp) for f in frames]
+    cells = [int(np.count_nonzero(mask & region)) for mask in masks]
+    clear = [not np.any(mask[ring]) for mask in masks]
 
     violating: int | None = None
     baseline: int | None = None
@@ -245,27 +236,25 @@ def make_growing_bump_path() -> tuple[list[GridFunction], np.ndarray, int]:
 
 
 # ---------------------------------------------------------------------------
-# File formats: text (header + row-major values) and JSON
+# File formats: grid_to_dict's fields as JSON, or as text (dims, h and
+# origin on a line each, then one row-major value per line)
 # ---------------------------------------------------------------------------
 
-def write_grid_text(f: GridFunction, path) -> None:
+def write_grid_text(obj: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(str(s) for s in f.shape) + "\n")
-        fh.write(repr(float(f.spacing)) + "\n")
-        fh.write(" ".join(repr(float(x)) for x in f.origin) + "\n")
-        for v in f.values.ravel(order="C"):
-            fh.write(repr(float(v)) + "\n")
+        fh.write(" ".join(str(s) for s in obj["dims"]) + "\n")
+        fh.write(repr(obj["h"]) + "\n")
+        fh.write(" ".join(repr(x) for x in obj["origin"]) + "\n")
+        fh.writelines(repr(v) + "\n" for v in obj["values"])
 
 
-def read_grid_text(path) -> GridFunction:
+def read_grid_text(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        shape = tuple(int(s) for s in fh.readline().split())
-        spacing = float(fh.readline())
-        origin = np.asarray([float(x) for x in fh.readline().split()])
-        flat = np.asarray([float(line) for line in fh if line.strip()])
-    if flat.size != int(np.prod(shape)):
-        raise ValueError(f"expected {int(np.prod(shape))} values, got {flat.size}")
-    return GridFunction(flat.reshape(shape), spacing, origin)
+        dims = [int(s) for s in fh.readline().split()]
+        h = float(fh.readline())
+        origin = [float(x) for x in fh.readline().split()]
+        values = [float(line) for line in fh if line.strip()]
+    return {"dims": dims, "h": h, "origin": origin, "values": values}
 
 
 def grid_to_dict(f: GridFunction) -> dict:
@@ -283,14 +272,11 @@ def grid_from_dict(obj: dict) -> GridFunction:
 
 
 def write_grid(f: GridFunction, path) -> None:
-    if str(path).endswith(".json"):
-        write_json(grid_to_dict(f), path)
-    else:
-        write_grid_text(f, path)
+    (write_json if str(path).endswith(".json") else write_grid_text)(grid_to_dict(f), path)
 
 
 def read_grid(path) -> GridFunction:
     try:
-        return grid_from_dict(read_json(path)) if str(path).endswith(".json") else read_grid_text(path)
-    except (KeyError, ValueError) as err:
+        return grid_from_dict(read_json(path) if str(path).endswith(".json") else read_grid_text(path))
+    except (KeyError, TypeError, IndexError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from err

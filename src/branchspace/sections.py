@@ -100,12 +100,10 @@ class BranchLocus:
 
 def _doubling_parameter(card_lo: int, card_hi: int) -> float | None:
     """Cascade parameter crossed when the period card_lo doubles to
-    card_hi, or None when the jump is not a doubling within the table."""
+    card_hi, or None when the jump is not a doubling."""
     if card_hi != 2 * card_lo:
         return None
-    k = card_lo.bit_length()  # 2^(k-1) = card_lo
-    if not 1 <= k <= 6:
-        return None
+    k = card_lo.bit_length()  # 2^(k-1) = card_lo; periods <= 64 keep k <= 6
     return bifurcation_points(k)[k - 1]
 
 

@@ -182,6 +182,8 @@ def test_bad_count_exits_2_naming_the_flag(capsys, command, flag, value):
         ("bifurcate", "--steps", "0"),
         ("bifurcate", "--steps", "-2"),
         ("bifurcate", "--steps", "x"),
+        # the removed alias of paper-circle
+        ("branched-path", "--demo", "circle-split"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(capsys, command, flag, value):
@@ -194,7 +196,7 @@ def test_bad_value_exits_2_naming_the_flag(capsys, command, flag, value):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_least_samples_for_jet_order_accepted(capsys, order):
     samples = max(8, 4 * order)
-    code, out, _ = run(capsys, "branched-path", "--demo", "circle-split", "--jet-order", str(order),
+    code, out, _ = run(capsys, "branched-path", "--demo", "paper-circle", "--jet-order", str(order),
                        "--samples", str(samples))
     assert code == 0
     assert json.loads(out)["valid"]
@@ -308,6 +310,37 @@ def test_an_empty_configuration_file_exits_2_with_the_reason(capsys, tmp_path, a
     assert reason in err
 
 
+GOOD_GRID = {"dims": [3], "h": 0.1, "origin": [0.0], "values": [0.0, 1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["hausdorff", "{bad}", "{bad}"], [[0.0, 0.0]]),
+        (["hausdorff", "{bad}", "{bad}"], {"dim": 2}),
+        (["chart", "--input", "{bad}"], [[0.0], [1.0]]),
+        (["simulate", "--input", "{bad}"], {"times": 5, "frames": []}),
+        (["simulate", "--input", "{bad}"], {"times": [0.0, 1.0], "frames": [5, 6]}),
+        (["simulate", "--input", "{bad}"], {"frames": []}),
+        (["branched-path", "--input", "{bad}"], {"stages": 5}),
+        (["branched-path", "--input", "{bad}"], {"stages": [[{"samples": 3}]]}),
+        (["branched-path", "--input", "{bad}"], {"stages": [[{"samples": [[0.0, [0.0]], [1.0]]}]]}),
+        (["measure", "--frames", "{dir}", "--region", "{good}"], dict(GOOD_GRID, dims=3)),
+        (["measure", "--frames", "{frames}", "--region", "{bad}"], dict(GOOD_GRID, dims=3)),
+    ],
+)
+def test_a_wrong_shaped_input_file_exits_2_naming_it(capsys, tmp_path, argv, content):
+    # an exception out of main, which a cold run prints as a traceback, fails the test
+    files = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json", "frames": tmp_path / "frames"}
+    files["bad"].write_text(json.dumps(content))
+    files["good"].write_text(json.dumps(GOOD_GRID))
+    files["frames"].mkdir()
+    (files["frames"] / "frame.json").write_text(json.dumps(GOOD_GRID))
+    code, out, err = run(capsys, *[arg.format(dir=tmp_path, **files) for arg in argv])
+    assert code == 2 and out == ""
+    assert f"invalid input: {files['bad']}: " in err
+
+
 # ---------------------------------------------------------------------------
 # chart
 # ---------------------------------------------------------------------------
@@ -350,7 +383,7 @@ def test_branched_path_perturbed_fails_with_gap(capsys):
 
 
 def test_branched_path_dot_output(capsys):
-    code, out, _ = run(capsys, "branched-path", "--demo", "circle-split", "--format", "dot")
+    code, out, _ = run(capsys, "branched-path", "--demo", "paper-circle", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph") and out.count("->") == 4
 

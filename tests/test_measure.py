@@ -1,7 +1,11 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from branchspace import (
     GridFunction,
@@ -12,6 +16,7 @@ from branchspace import (
     validate_constant_volume_path,
 )
 from branchspace.measure import (
+    boundary_layer,
     grid_from_dict,
     grid_to_dict,
     make_growing_bump_path,
@@ -87,6 +92,39 @@ def test_scale_invariance_property(seed, lam):
     f = GridFunction(vals, 0.25)
     for sign in (lam, -lam):
         assert support_class(f.scaled(sign)) == support_class(f)
+
+
+def hand_written_boundary_layer(shape):
+    """The sliced mask that boundary_layer replaced, kept as its reference."""
+    mask = np.ones(shape, dtype=bool)
+    if all(s > 2 for s in shape):
+        mask[tuple(slice(1, -1) for _ in shape)] = False
+    return mask
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_boundary_layer_matches_the_hand_written_mask(d):
+    # every shape with sides 1..5, sides <= 2 (all boundary) included, and empty sides
+    shapes = [*itertools.product(range(1, 6), repeat=d), (0,) * d, (0,) + (4,) * (d - 1)]
+    for shape in shapes:
+        assert np.array_equal(boundary_layer(shape), hand_written_boundary_layer(shape)), shape
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_components_and_ring_use_face_adjacency(rng, d):
+    face = ndimage.generate_binary_structure(d, 1)
+    for _ in range(30):
+        shape = tuple(int(s) for s in rng.integers(3, 9, size=d))
+        vals = np.zeros(shape)
+        inner = tuple(slice(1, -1) for _ in shape)
+        vals[inner] = rng.random(vals[inner].shape) < 0.5
+        sc = support_class(GridFunction(vals, 1.0))
+        labels, count = ndimage.label(vals != 0, structure=face)
+        assert np.array_equal(sc.labels, labels)
+        assert sc.component_cells == tuple(int(np.count_nonzero(labels == k)) for k in range(1, count + 1))
+        region = rng.random(shape) < 0.3
+        assert np.array_equal(region_ring(region), ndimage.binary_dilation(region, structure=face) & ~region)
+    assert support_class(GridFunction(np.zeros((4,) * d), 1.0)).component_cells == ()
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +272,12 @@ def test_text_and_json_roundtrip(tmp_path):
     assert grid_from_dict(grid_to_dict(f)).shape == (5, 6)
 
 
+def test_text_format_is_pinned(tmp_path):
+    f = GridFunction(np.array([[0.0, -0.0, 1.5], [0.1, 2.0, -3e-300]]), 0.25, origin=[1.0, -2.5])
+    write_grid(f, tmp_path / "frame.txt")
+    assert (tmp_path / "frame.txt").read_text() == "2 3\n0.25\n1.0 -2.5\n0.0\n-0.0\n1.5\n0.1\n2.0\n-3e-300\n"
+
+
 @pytest.mark.parametrize("spacing", [0.0, -0.1, np.nan, np.inf])
 def test_spacing_must_be_finite_and_positive(spacing):
     with pytest.raises(ValueError, match="spacing must be finite and positive"):
@@ -250,6 +294,9 @@ def test_a_malformed_grid_file_is_named(tmp_path):
     (tmp_path / "bad.txt").write_text("3\nnan\n0.0\n0\n0\n0\n")
     with pytest.raises(ValueError, match="bad.txt: spacing must be finite and positive"):
         read_grid(tmp_path / "bad.txt")
+    (tmp_path / "short.txt").write_text("2 3\n0.1\n0.0 0.0\n0\n0\n")
+    with pytest.raises(ValueError, match=re.escape("short.txt: cannot reshape array of size 2 into shape (2,3)")):
+        read_grid(tmp_path / "short.txt")
     (tmp_path / "bad.json").write_text('{"dims": [2], "h": 0.1, "values": [0, 0]}')
     with pytest.raises(ValueError, match="bad.json: 'origin'"):
         read_grid(tmp_path / "bad.json")
