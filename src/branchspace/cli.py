@@ -48,6 +48,7 @@ from .measure import (
 from .paths import (
     MAX_JET_ORDER,
     MIN_INTERVALS,
+    BranchedPath,
     branched_path_from_dict,
     branched_path_to_dot,
     coordinate_functions,
@@ -242,26 +243,29 @@ def cmd_branched_path(args) -> int:
         least = max(MIN_INTERVALS, 4 * args.jet_order)
         if args.samples < least:
             args.parser.error(f"argument --samples: must be at least {least} at --jet-order {args.jet_order}")
-        bp = make_split_loop(m=args.samples, final_offset=(0.0, args.perturb))
+        stages = make_split_loop(m=args.samples, final_offset=(0.0, args.perturb)).stages
     else:
-        bp = _load(branched_path_from_dict, args.input)
+        stages = _load(branched_path_from_dict, args.input).stages
+    bp = BranchedPath(stages, args.tol_eq)
 
-    report = validate_branched(bp, tol_eq=args.tol_eq)
+    report = validate_branched(bp)
     if not report.ok:
         gap = "" if report.gap is None else f" (gap {report.gap!r})"
         sys.stderr.write(f"branched-path: invalid: {report.reason}{gap}\n")
         return VALIDATION_FAILURE
 
     if args.format == "dot":
-        _emit(args, branched_path_to_dot(bp, tol_eq=args.tol_eq))
+        _emit(args, branched_path_to_dot(bp))
         return 0
 
     jets = []
-    for boundary, points in bp.junctions(tol_eq=args.tol_eq):
+    for boundary, points in bp.junctions():
+        # each boundary's jets compare that boundary's segments only
+        pair = BranchedPath(bp.stages[boundary : boundary + 2], bp.tol_eq)
         for p in points:
             per_f = []
             for j, f in enumerate(coordinate_functions(bp.dimension)):
-                res = jet_match(bp, p, f, order=args.jet_order, tol_eq=args.tol_eq)
+                res = jet_match(pair, p, f, order=args.jet_order)
                 per_f.append(
                     {
                         "function": f"x{j}",

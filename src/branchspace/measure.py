@@ -251,9 +251,9 @@ def write_grid_text(obj: dict, path) -> None:
 def read_grid_text(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         dims = [int(s) for s in fh.readline().split()]
-        h = float(fh.readline())
+        h = float(fh.readline().strip())
         origin = [float(x) for x in fh.readline().split()]
-        values = [float(line) for line in fh if line.strip()]
+        values = [float(s) for s in map(str.strip, fh) if s]
     return {"dims": dims, "h": h, "origin": origin, "values": values}
 
 

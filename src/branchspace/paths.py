@@ -3,10 +3,10 @@
 A segment is a curve sampled on the uniform grid t_k = k/m over [0, 1]
 with endpoints alpha (start) and omega (end). A branched path is a
 sequence of stages, each a set of mutually compatible segments, where the
-set of stage-i endpoints equals the set of stage-(i+1) start points. At a
-junction, derivative sums of a test function over incoming and outgoing
-segments can be compared order by order (truncated jets, one-sided finite
-differences).
+set of stage-i endpoints equals the set of stage-(i+1) start points within
+the path's own tol_eq. At a junction of one stage boundary, derivative sums
+of a test function over incoming and outgoing segments can be compared
+order by order (truncated jets, one-sided finite differences).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL_EQ, as_point, as_point_array, frozen
+from .config import DEFAULT_TOL_EQ, _check_tol_eq, as_point, as_point_array, frozen
 from .errors import (
     EndpointMismatch,
     InsufficientResolution,
@@ -74,29 +74,27 @@ class PathSegment:
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError("parameter must lie in [0, 1]")
-        s = t * self.intervals
-        k = min(int(np.floor(s)), self.intervals - 1)
-        w = s - k
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        return self._interp([t])[0]
 
     def resampled(self, m: int) -> "PathSegment":
         if m == self.intervals:
             return self
-        ts = np.arange(m + 1) / m
+        return PathSegment(self._interp(np.arange(m + 1) / m))
+
+    def _interp(self, ts) -> np.ndarray:
         src = np.arange(self.intervals + 1) / self.intervals
-        out = np.column_stack([np.interp(ts, src, self.values[:, j]) for j in range(self.dimension)])
-        return PathSegment(out)
+        return np.column_stack([np.interp(ts, src, self.values[:, j]) for j in range(self.dimension)])
 
 
-def compose(g1: PathSegment, g2: PathSegment, tol_eq: float = DEFAULT_TOL_EQ) -> PathSegment:
+def compose(g1: PathSegment, g2: PathSegment) -> PathSegment:
     """Groupoid composition: traverse g1 on [0, 1/2], then g2 on [1/2, 1].
 
-    Requires omega(g1) = alpha(g2) within tol_eq; the junction sample is
-    their midpoint. alpha/omega of the result are g1's alpha and g2's
-    omega, bitwise.
+    Requires omega(g1) = alpha(g2) within DEFAULT_TOL_EQ; the junction
+    sample is their midpoint. alpha/omega of the result are g1's alpha and
+    g2's omega, bitwise.
     """
     gap = float(np.linalg.norm(g1.omega - g2.alpha))
-    if gap > tol_eq:
+    if gap > DEFAULT_TOL_EQ:
         raise EndpointMismatch(gap)
     half = max(g1.intervals, g2.intervals)
     a = g1.resampled(half).values
@@ -147,12 +145,16 @@ def _dedup(points: np.ndarray, tol_eq: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BranchedPath:
-    """Stages of segments, glued endpoint-configuration to start-configuration."""
+    """Stages of segments, glued endpoint-configuration to start-configuration;
+    every question asked of the path takes points within tol_eq as equal."""
 
     stages: tuple[tuple[PathSegment, ...], ...]
+    tol_eq: float
 
-    def __init__(self, stages: Sequence[Sequence[PathSegment]]):
+    def __init__(self, stages: Sequence[Sequence[PathSegment]], tol_eq: float = DEFAULT_TOL_EQ):
+        _check_tol_eq(tol_eq)
         object.__setattr__(self, "stages", tuple(tuple(stage) for stage in stages))
+        object.__setattr__(self, "tol_eq", tol_eq)
         if not self.stages or any(len(s) == 0 for s in self.stages):
             raise ValueError("a branched path needs at least one nonempty stage")
 
@@ -160,16 +162,16 @@ class BranchedPath:
     def dimension(self) -> int:
         return self.stages[0][0].dimension
 
-    def omega_config(self, i: int, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
-        return _dedup(np.asarray([g.omega for g in self.stages[i]]), tol_eq)
+    def omega_config(self, i: int) -> np.ndarray:
+        return _dedup(np.asarray([g.omega for g in self.stages[i]]), self.tol_eq)
 
-    def alpha_config(self, i: int, tol_eq: float = DEFAULT_TOL_EQ) -> np.ndarray:
-        return _dedup(np.asarray([g.alpha for g in self.stages[i]]), tol_eq)
+    def alpha_config(self, i: int) -> np.ndarray:
+        return _dedup(np.asarray([g.alpha for g in self.stages[i]]), self.tol_eq)
 
-    def junctions(self, tol_eq: float = DEFAULT_TOL_EQ) -> list[tuple[int, np.ndarray]]:
+    def junctions(self) -> list[tuple[int, np.ndarray]]:
         """(boundary index i, junction points) for each stage pair
         (i, i+1); the points are the deduplicated stage-i endpoints."""
-        return [(i, self.omega_config(i, tol_eq)) for i in range(len(self.stages) - 1)]
+        return [(i, self.omega_config(i)) for i in range(len(self.stages) - 1)]
 
 
 @dataclass(frozen=True)
@@ -182,25 +184,25 @@ class BranchedPathReport:
     gap: float | None = None
 
 
-def validate_branched(bp: BranchedPath, tol_eq: float = DEFAULT_TOL_EQ) -> BranchedPathReport:
+def validate_branched(bp: BranchedPath) -> BranchedPathReport:
     """Check stage compatibility and the endpoint-gluing condition.
 
     Consecutive stages must satisfy: the configuration of stage-i
     endpoints equals the configuration of stage-(i+1) start points, as
-    sets, within tol_eq in the Hausdorff distance.
+    sets, within bp.tol_eq in the Hausdorff distance.
     """
     for i, stage in enumerate(bp.stages):
         for a in range(len(stage)):
             for b in range(a + 1, len(stage)):
-                if not segments_compatible(stage[a], stage[b], tol_eq):
+                if not segments_compatible(stage[a], stage[b], bp.tol_eq):
                     return BranchedPathReport(
                         False, f"segments {a} and {b} of stage {i} are incompatible", i, None
                     )
     for i in range(len(bp.stages) - 1):
-        omegas = bp.omega_config(i, tol_eq)
-        alphas = bp.alpha_config(i + 1, tol_eq)
+        omegas = bp.omega_config(i)
+        alphas = bp.alpha_config(i + 1)
         gap = hausdorff_distance(omegas, alphas)
-        if gap > tol_eq:
+        if gap > bp.tol_eq:
             return BranchedPathReport(
                 False,
                 f"stage {i} endpoints do not match stage {i + 1} start points",
@@ -265,30 +267,31 @@ def jet_match(
     branch_point,
     f: Callable[[np.ndarray], float],
     order: int = DEFAULT_JET_ORDER,
-    tol_eq: float = DEFAULT_TOL_EQ,
 ) -> JetMatchResult:
     """Compare derivative sums of f across a junction, orders 1..order.
 
-    Incoming segments are those ending at the branch point (derivatives
-    taken one-sided at t=1), outgoing ones start there (one-sided at t=0).
-    The tolerance is JET_TOL scaled by max(1, max |f| over the involved
-    samples). Orders above the sampling resolution raise
-    InsufficientResolution; higher orders also amplify rounding noise by
-    h^-order, so coarse segments need looser tolerances.
+    The junction is the one boundary i where stage-i segments end at the
+    branch point (incoming, one-sided derivatives at t=1) and stage-(i+1)
+    segments start there (outgoing, at t=0); a junction of several
+    boundaries raises ValueError. The tolerance is JET_TOL scaled by
+    max(1, max |f| over the involved samples). Orders above the sampling
+    resolution raise InsufficientResolution; higher orders also amplify
+    rounding noise by h^-order, so coarse segments need looser tolerances.
     """
     if not 1 <= order <= MAX_JET_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_JET_ORDER}")
     p = frozen(as_point(branch_point))
-    incoming: list[PathSegment] = []
-    outgoing: list[PathSegment] = []
+    found = {}
     for i in range(len(bp.stages) - 1):
-        seen_in = [g for g in bp.stages[i] if np.linalg.norm(g.omega - p) <= tol_eq]
-        seen_out = [g for g in bp.stages[i + 1] if np.linalg.norm(g.alpha - p) <= tol_eq]
+        seen_in = [g for g in bp.stages[i] if np.linalg.norm(g.omega - p) <= bp.tol_eq]
+        seen_out = [g for g in bp.stages[i + 1] if np.linalg.norm(g.alpha - p) <= bp.tol_eq]
         if seen_in and seen_out:
-            incoming.extend(seen_in)
-            outgoing.extend(seen_out)
-    if not incoming or not outgoing:
+            found[i] = (seen_in, seen_out)
+    if not found:
         raise NotAJunction(f"{p.tolist()} is not a stage junction of this path")
+    if len(found) > 1:
+        raise ValueError(f"{p.tolist()} is a junction at boundaries {list(found)}; pass one boundary's two stages")
+    ((incoming, outgoing),) = found.values()
 
     min_m = min(g.intervals for g in incoming + outgoing)
     if min_m < 4 * order:
@@ -318,16 +321,6 @@ def jet_match(
 
 def coordinate_functions(dimension: int) -> list[Callable[[np.ndarray], float]]:
     return [(lambda q, j=j: float(q[j])) for j in range(dimension)]
-
-
-def default_test_functions(dimension: int) -> list[Callable[[np.ndarray], float]]:
-    """Coordinates and their pairwise products: the default family for
-    junction jet checks (no completeness claim)."""
-    fns = coordinate_functions(dimension)
-    for a in range(dimension):
-        for b in range(a, dimension):
-            fns.append(lambda q, a=a, b=b: float(q[a] * q[b]))
-    return fns
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +365,13 @@ def branched_path_from_dict(obj: dict) -> BranchedPath:
     return BranchedPath(stages)
 
 
-def branched_path_to_dot(bp: BranchedPath, tol_eq: float = DEFAULT_TOL_EQ) -> str:
+def branched_path_to_dot(bp: BranchedPath) -> str:
     """DOT digraph: nodes are junction configurations, edges are segments."""
 
     def fmt(points: np.ndarray) -> str:
         return "{" + "; ".join(",".join(f"{x:g}" for x in p) for p in points) + "}"
 
-    nodes = [bp.alpha_config(0, tol_eq)] + [bp.omega_config(i, tol_eq) for i in range(len(bp.stages))]
+    nodes = [bp.alpha_config(0)] + [bp.omega_config(i) for i in range(len(bp.stages))]
     lines = ["digraph branched_path {"]
     for k, pts in enumerate(nodes):
         lines.append(f'  n{k} [label="{fmt(pts)}"];')

@@ -99,11 +99,11 @@ class BranchLocus:
 
 
 def _doubling_parameter(card_lo: int, card_hi: int) -> float | None:
-    """Cascade parameter crossed when the period card_lo doubles to
-    card_hi, or None when the jump is not a doubling."""
-    if card_hi != 2 * card_lo:
+    """Cascade parameter crossed when the period card_lo, a power of two,
+    doubles to card_hi; None for any other jump, window doublings included."""
+    if card_hi != 2 * card_lo or card_lo & (card_lo - 1):
         return None
-    k = card_lo.bit_length()  # 2^(k-1) = card_lo; periods <= 64 keep k <= 6
+    k = card_lo.bit_length()  # card_lo = 2^(k-1); periods <= 64 keep k <= 6
     return bifurcation_points(k)[k - 1]
 
 

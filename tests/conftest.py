@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.errors import InvalidArgument
 
-from branchspace import Configuration
+from branchspace import BranchedPath, Configuration, PathSegment
+
+# `--hypothesis-profile=ci` (the CI tier-1 step): a failing property prints
+# its @reproduce_failure blob. Where Hypothesis has a "ci" profile of its
+# own, its other settings are kept.
+try:
+    _ci = settings.get_profile("ci")
+except InvalidArgument:
+    _ci = None
+settings.register_profile("ci", parent=_ci, print_blob=True)
 
 
 @pytest.fixture
@@ -18,3 +29,15 @@ def random_configuration(rng, n: int, dim: int, scale: float = 10.0) -> Configur
     spacing = scale / side
     pts = cells[take] * spacing + rng.uniform(0.2, 0.8, size=(n, dim)) * spacing
     return Configuration(pts)
+
+
+def revisit_path(m=64):
+    """A -> B, B -> C, C -> B, B -> A with A = (0, 0), B = (1, 0), C = (1, 1):
+    B is the junction of boundaries 0 and 2. At boundary 0 the x speeds
+    match (1 in, 1 out); at boundary 2 they do not (0 in, -1 out)."""
+    return BranchedPath([
+        [PathSegment.from_function(lambda t: (t, 0.0), m)],
+        [PathSegment.from_function(lambda t: (1.0 + t * (1.0 - t), t), m)],
+        [PathSegment.from_function(lambda t: (1.0, 1.0 - t), m)],
+        [PathSegment.from_function(lambda t: (1.0 - t, 0.0), m)],
+    ])

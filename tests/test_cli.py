@@ -11,6 +11,15 @@ from branchspace.cli import build_parser, main, parse_linear_field
 from branchspace.config import write_json
 from branchspace.hausdorff import trajectory_to_dict, two_particle_merge_trajectory
 from branchspace.measure import GridFunction, make_translated_bump_path, write_grid
+from branchspace.paths import (
+    BranchedPath,
+    branched_path_to_dict,
+    coordinate_functions,
+    jet_match,
+    make_split_loop,
+)
+
+from conftest import revisit_path
 
 
 def run(capsys, *argv):
@@ -388,6 +397,43 @@ def test_branched_path_dot_output(capsys):
     assert out.startswith("digraph") and out.count("->") == 4
 
 
+def test_branched_path_jets_are_per_boundary(capsys, tmp_path):
+    bp = revisit_path()
+    write_json(branched_path_to_dict(bp), tmp_path / "revisit.json")
+    code, out, _ = run(capsys, "branched-path", "--input", str(tmp_path / "revisit.json"))
+    assert code == 0
+    jets = json.loads(out)["junctions"]
+    assert [(j["boundary"], j["junction"]) for j in jets] == [(0, [1.0, 0.0]), (1, [1.0, 1.0]), (2, [1.0, 0.0])]
+    for j in jets:
+        pair = BranchedPath(bp.stages[j["boundary"] : j["boundary"] + 2])
+        for check, f in zip(j["checks"], coordinate_functions(2)):
+            res = jet_match(pair, j["junction"], f)
+            assert check["residuals"] == {str(k): v for k, v in res.residuals.items()}
+            assert check["passed"] == res.passed
+    assert jets[0]["checks"][0]["residuals"]["1"] < 1e-9
+    with pytest.raises(ValueError, match=r"boundaries \[0, 2\]"):
+        jet_match(bp, [1.0, 0.0], coordinate_functions(2)[0])
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_branched_path_tol_eq_reaches_every_check(capsys, tmp_path, fmt):
+    # the last stage starts 1e-7 off the arcs' common end: a gluing gap at
+    # the default tolerance, one junction at 1e-6
+    write_json(branched_path_to_dict(make_split_loop(m=64, final_offset=(0.0, 1e-7))), tmp_path / "bp.json")
+    for mode in (["--demo", "paper-circle", "--samples", "64", "--perturb", "1e-7"], ["--input", str(tmp_path / "bp.json")]):
+        argv = ["branched-path", *mode, "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "stage 1 endpoints do not match stage 2 start points" in err
+        code, out, _ = run(capsys, *argv, "--tol-eq", "1e-6")
+        assert code == 0
+        if fmt == "json":
+            rec = json.loads(out)
+            assert [j["boundary"] for j in rec["junctions"]] == [0, 1]
+        else:
+            assert out.count("->") == 4
+
+
 # ---------------------------------------------------------------------------
 # bifurcate / section
 # ---------------------------------------------------------------------------
@@ -478,6 +524,19 @@ def test_measure_frame_with_nan_spacing_is_named(capsys, tmp_path, n_frames):
     )
     assert code == 2
     assert "frame_0.txt: spacing must be finite and positive" in err
+
+
+@pytest.mark.parametrize("text", ["3\nabc\n0.0\n0\n1\n0\n", "3\n0.1\n0.0\n0\nabc\n0\n"])
+def test_measure_frame_with_a_bad_number_is_named(capsys, tmp_path, text):
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    (frame_dir / "frame_0.txt").write_text(text)
+    write_grid(GridFunction(np.array([0.0, 1.0, 0.0]), 0.1), tmp_path / "region.json")
+    code, out, err = run(
+        capsys, "measure", "--frames", str(frame_dir), "--region", str(tmp_path / "region.json")
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith("frame_0.txt: could not convert string to float: 'abc'\n")
 
 
 # ---------------------------------------------------------------------------

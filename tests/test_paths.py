@@ -19,11 +19,12 @@ from branchspace.paths import (
     branched_path_from_dict,
     branched_path_to_dict,
     branched_path_to_dot,
-    default_test_functions,
     fd_weights,
     segment_image_distance,
     segments_compatible,
 )
+
+from conftest import revisit_path
 
 FX = lambda q: float(q[0])
 FY = lambda q: float(q[1])
@@ -44,6 +45,16 @@ def test_segment_grid_and_endpoints():
     assert g.alpha.tolist() == [0.0, 0.0]
     assert g.omega.tolist() == [1.0, 1.0]
     assert np.allclose(g.at(0.5), [0.5, 0.25], atol=1e-12)
+
+
+def test_segment_at_interpolates_between_samples():
+    g = PathSegment([[float(k), float(k * k)] for k in range(9)])
+    assert np.array_equal(g.at(0.0), g.alpha)
+    assert np.array_equal(g.at(1.0), g.omega)
+    assert g.at(0.25).tolist() == [2.0, 4.0]
+    assert g.at(0.3125).tolist() == [2.5, 6.5]
+    with pytest.raises(ValueError):
+        g.at(1.5)
 
 
 def test_segment_minimum_resolution():
@@ -241,10 +252,104 @@ def test_jet_errors():
         jet_match(tiny, [-1.0, 0.0], FX, order=5)
 
 
-def test_default_test_functions_cover_products():
-    fns = default_test_functions(2)
-    q = np.array([2.0, 3.0])
-    assert [f(q) for f in fns] == [2.0, 3.0, 4.0, 6.0, 9.0]
+def test_jets_compare_one_boundary():
+    bp = revisit_path()
+    assert validate_branched(bp).ok
+    with pytest.raises(ValueError, match=r"boundaries \[0, 2\]"):
+        jet_match(bp, [1.0, 0.0], FX, order=1)
+    first = jet_match(BranchedPath(bp.stages[0:2]), [1.0, 0.0], FX, order=1)
+    assert (first.incoming, first.outgoing) == (1, 1)
+    assert first.residual(1) <= 1e-9
+    last = jet_match(BranchedPath(bp.stages[2:4]), [1.0, 0.0], FX, order=1)
+    assert last.residual(1) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the path's tolerance
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tol_eq", [0.0, -1e-9, math.nan, math.inf])
+def test_branched_path_rejects_a_bad_tolerance(tol_eq):
+    with pytest.raises(ValueError, match="tol_eq must be finite and positive"):
+        BranchedPath(make_split_loop(m=16).stages, tol_eq)
+
+
+def test_the_path_tolerance_decides_gluing_junctions_and_dot():
+    # the lower arc ends 1e-7 above the common end (1, 0)
+    (g_in,), (g_up, g_dn), (g_out,) = make_split_loop(m=64).stages
+    lifted = PathSegment(g_dn.values + np.outer(np.arange(65) / 64, [0.0, 1e-7]))
+    stages = [[g_in], [g_up, lifted], [g_out]]
+    tight, loose = BranchedPath(stages), BranchedPath(stages, 1e-6)
+    assert loose.tol_eq == 1e-6
+    assert validate_branched(tight).gap == pytest.approx(1e-7, rel=1e-6)
+    assert validate_branched(loose).ok
+    assert (len(tight.omega_config(1)), len(loose.omega_config(1))) == (2, 1)
+    assert jet_match(tight, [1.0, 0.0], FY, order=1).incoming == 1
+    assert jet_match(loose, [1.0, 0.0], FY, order=1).incoming == 2
+    # the DOT node after stage 1 lists two points, or one
+    n2 = lambda bp: branched_path_to_dot(bp).split('n2 [label="')[1].split('"')[0]
+    assert n2(tight).count(";") == 1
+    assert n2(loose).count(";") == 0
+
+
+# ---------------------------------------------------------------------------
+# image distance and compatibility, known answers
+# ---------------------------------------------------------------------------
+
+def samples(*points):
+    """A segment through the given samples, in R^d for d = len(points[0])."""
+    return PathSegment(np.asarray(points, dtype=float))
+
+
+def test_image_distance_of_zero_length_segments():
+    # every interval of a constant segment has zero length
+    c = samples(*[(0.0, 1.0)] * 9)
+    assert segment_image_distance(c, samples(*[(3.0, 5.0)] * 9)) == 5.0
+    # c to the x axis from -1 to 1 is 1; the axis ends are sqrt(2) from c
+    axis = line((-1.0, 0.0), (1.0, 0.0), m=8)
+    assert segment_image_distance(c, axis) == math.sqrt(2.0)
+    # repeated vertices inside a polyline change neither image nor distance
+    stutter = samples(*[(x,) for x in (0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0)])
+    assert segment_image_distance(stutter, line((0.0,), (2.0,), m=8)) == 0.0
+
+
+def test_image_distance_of_a_backtracking_collinear_polyline():
+    # out along (3, 4) to s = 2, back to s = 1: the image is s in [0, 2]
+    out_back = samples(*[(3.0 * s, 4.0 * s) for s in (0.0, 0.5, 1.0, 1.5, 2.0, 1.75, 1.5, 1.25, 1.0)])
+    assert segment_image_distance(out_back, line((0.0, 0.0), (6.0, 8.0), m=8)) == 0.0
+    # the turning point s = 2 is |(3, 4)| = 5 from the image s in [0, 1]
+    assert segment_image_distance(out_back, line((0.0, 0.0), (3.0, 4.0), m=8)) == 5.0
+
+
+def test_image_distance_with_samples_on_vertices():
+    ell = samples(*[(s, 0.0) for s in np.arange(5) / 4] + [(1.0, s) for s in np.arange(1, 5) / 4])
+    assert segment_image_distance(ell, ell.resampled(16)) == 0.0
+    # the corner (1, 0) projects onto the chord's vertex (1/2, 1/2)
+    chord = line((0.0, 0.0), (1.0, 1.0), m=8)
+    assert segment_image_distance(ell, chord) == math.sqrt(0.5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_image_distance_of_shifted_unit_segments(d):
+    # [0, e_0] against its shift by 2 e_{d-1}: collinear apart in d = 1,
+    # parallel in d >= 2, distance 2 either way
+    e0, shift = np.eye(d)[0], 2.0 * np.eye(d)[d - 1]
+    assert segment_image_distance(line(0 * e0, e0, m=8), line(shift, e0 + shift, m=16)) == 2.0
+
+
+def test_compatibility_asks_for_ends_and_image():
+    out_back = samples(*[(s,) for s in (0.0, 0.5, 1.0, 1.5, 2.0, 1.75, 1.5, 1.25, 1.0)])
+    # same ends, images [0, 2] and [0, 1]: compatible
+    assert segments_compatible(out_back, line((0.0,), (1.0,), m=8))
+    # same ends and the same image, sampled otherwise: incompatible
+    assert not segments_compatible(out_back, out_back.resampled(32))
+    # different ends: compatible, whatever the images
+    assert segments_compatible(out_back, line((0.0,), (2.0,), m=8))
+    # the image gap 1e-7 against the tolerance
+    lifted = samples(*[(s, 1e-7 * np.sin(np.pi * s)) for s in np.arange(9) / 8])
+    flat = line((0.0, 0.0), (1.0, 0.0), m=8)
+    assert segments_compatible(lifted, flat)
+    assert not segments_compatible(lifted, flat, tol_eq=1e-6)
 
 
 # ---------------------------------------------------------------------------

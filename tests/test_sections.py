@@ -12,7 +12,8 @@ from branchspace import (
     branched_equilibrium_section,
     decompose_or_witness,
 )
-from branchspace.sections import bifurcation_rows, section_to_dict
+from branchspace.logistic import bifurcation_points
+from branchspace.sections import _doubling_parameter, bifurcation_rows, section_to_dict
 
 
 def line_grid(n=101, lo=0.0, hi=1.0):
@@ -55,6 +56,27 @@ def test_linear_field_second_doubling_locus():
     assert expected_x == pytest.approx(0.74745, abs=5e-6)
     assert loci[0].base_location[0] == pytest.approx(expected_x, abs=1e-6)
     assert loci[0].parameter_value == pytest.approx(1.0 + math.sqrt(6.0), abs=1e-6)
+
+
+def test_doubling_parameter_only_on_the_main_cascade():
+    assert _doubling_parameter(1, 2) == bifurcation_points(1)[0]
+    assert _doubling_parameter(2, 4) == bifurcation_points(2)[1]
+    # the period-3 window doubles 3 -> 6 -> 12 at parameters that are not
+    # a_k of the main cascade, and 1 -> 3 is no doubling
+    assert _doubling_parameter(3, 6) is None
+    assert _doubling_parameter(6, 12) is None
+    assert _doubling_parameter(1, 3) is None
+
+
+def test_window_doublings_are_placed_at_midpoints():
+    sample, loci = branched_equilibrium_section(lambda p: 3.84 + 0.01 * float(p[0]), line_grid(11))
+    jumps = [(L.cardinality_before, L.cardinality_after) for L in loci]
+    assert jumps == [(3, 6), (6, 12)]
+    for L in loci:
+        i = int(np.searchsorted(sample.parameters, L.parameter_value))
+        a0, a1 = sample.parameters[i - 1], sample.parameters[i]
+        assert L.parameter_value == 0.5 * (a0 + a1)
+        assert L.base_location[0] == 0.5 * (sample.base_points[i - 1, 0] + sample.base_points[i, 0])
 
 
 def test_cardinality_changes_only_at_loci():
