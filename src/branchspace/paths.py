@@ -3,10 +3,11 @@
 A segment is a curve sampled on the uniform grid t_k = k/m over [0, 1]
 with endpoints alpha (start) and omega (end). A branched path is a
 sequence of stages, each a set of mutually compatible segments, where the
-set of stage-i endpoints equals the set of stage-(i+1) start points within
-the path's own tol_eq. At a junction of one stage boundary, derivative sums
-of a test function over incoming and outgoing segments can be compared
-order by order (truncated jets, one-sided finite differences).
+set of stage-i endpoints equals the set of stage-(i+1) start points; the
+points of one component of the within-tol_eq graph at a stage boundary, for
+the path's own tol_eq, are one point. At a junction of one stage boundary,
+derivative sums of a test function over incoming and outgoing segments can
+be compared order by order (truncated jets, one-sided finite differences).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.spatial import cKDTree
 
 from .config import DEFAULT_TOL_EQ, _check_tol_eq, as_point, as_point_array, frozen
 from .errors import (
@@ -135,18 +138,19 @@ def segments_compatible(g1: PathSegment, g2: PathSegment, tol_eq: float = DEFAUL
     return segment_image_distance(g1, g2) > tol_eq
 
 
-def _dedup(points: np.ndarray, tol_eq: float) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) <= tol_eq for q in out):
-            out.append(p)
-    return np.asarray(out)
+def _clusters(points: np.ndarray, tol_eq: float) -> np.ndarray:
+    """Component label of each point in the graph joining points within tol_eq."""
+    from scipy.sparse.csgraph import connected_components  # only branched paths pay its import
+
+    pairs, n = cKDTree(points).query_pairs(tol_eq, output_type="ndarray"), points.shape[0]
+    return connected_components(coo_array((np.ones(len(pairs)), pairs.T), shape=(n, n)), directed=False)[1]
 
 
 @dataclass(frozen=True, eq=False)
 class BranchedPath:
     """Stages of segments, glued endpoint-configuration to start-configuration;
-    every question asked of the path takes points within tol_eq as equal."""
+    every question asked of the path takes the points of one component of
+    the within-tol_eq graph at a stage boundary as one point."""
 
     stages: tuple[tuple[PathSegment, ...], ...]
     tol_eq: float
@@ -157,20 +161,38 @@ class BranchedPath:
         object.__setattr__(self, "tol_eq", tol_eq)
         if not self.stages or any(len(s) == 0 for s in self.stages):
             raise ValueError("a branched path needs at least one nonempty stage")
+        for i, stage in enumerate(self.stages):
+            for j, g in enumerate(stage):
+                if g.dimension != self.dimension:
+                    raise ValueError(
+                        f"segment {j} of stage {i} has dimension {g.dimension}, segment 0 of stage 0 has {self.dimension}"
+                    )
 
     @property
     def dimension(self) -> int:
         return self.stages[0][0].dimension
 
+    def _boundary(self, i: int) -> tuple[np.ndarray, int, np.ndarray]:
+        """The stage-i ends then the stage-(i+1) starts (i = -1 and the last
+        stage have one side), the number of ends, and each point's component."""
+        ends = [g.omega for g in self.stages[i]] if i >= 0 else []
+        starts = [g.alpha for g in self.stages[i + 1]] if i + 1 < len(self.stages) else []
+        points = np.asarray(ends + starts)
+        return points, len(ends), _clusters(points, self.tol_eq)
+
+    # a configuration is the lowest-index point of each component, in index order
     def omega_config(self, i: int) -> np.ndarray:
-        return _dedup(np.asarray([g.omega for g in self.stages[i]]), self.tol_eq)
+        points, k, labels = self._boundary(i)
+        return points[np.sort(np.unique(labels[:k], return_index=True)[1])]
 
     def alpha_config(self, i: int) -> np.ndarray:
-        return _dedup(np.asarray([g.alpha for g in self.stages[i]]), self.tol_eq)
+        points, k, labels = self._boundary(i - 1)
+        return points[k + np.sort(np.unique(labels[k:], return_index=True)[1])]
 
     def junctions(self) -> list[tuple[int, np.ndarray]]:
         """(boundary index i, junction points) for each stage pair
-        (i, i+1); the points are the deduplicated stage-i endpoints."""
+        (i, i+1); the points are the lowest-index stage-i endpoint of each
+        component of the within-tol_eq graph at boundary i."""
         return [(i, self.omega_config(i)) for i in range(len(self.stages) - 1)]
 
 
@@ -189,7 +211,8 @@ def validate_branched(bp: BranchedPath) -> BranchedPathReport:
 
     Consecutive stages must satisfy: the configuration of stage-i
     endpoints equals the configuration of stage-(i+1) start points, as
-    sets, within bp.tol_eq in the Hausdorff distance.
+    sets: every component of the within-bp.tol_eq graph at the boundary
+    holds an end and a start (a failure's gap is their Hausdorff distance).
     """
     for i, stage in enumerate(bp.stages):
         for a in range(len(stage)):
@@ -199,15 +222,13 @@ def validate_branched(bp: BranchedPath) -> BranchedPathReport:
                         False, f"segments {a} and {b} of stage {i} are incompatible", i, None
                     )
     for i in range(len(bp.stages) - 1):
-        omegas = bp.omega_config(i)
-        alphas = bp.alpha_config(i + 1)
-        gap = hausdorff_distance(omegas, alphas)
-        if gap > bp.tol_eq:
+        _, k, labels = bp._boundary(i)
+        if not np.array_equal(np.unique(labels[:k]), np.unique(labels[k:])):
             return BranchedPathReport(
                 False,
                 f"stage {i} endpoints do not match stage {i + 1} start points",
                 i,
-                gap,
+                hausdorff_distance(bp.omega_config(i), bp.alpha_config(i + 1)),
             )
     return BranchedPathReport(True)
 
@@ -270,9 +291,11 @@ def jet_match(
 ) -> JetMatchResult:
     """Compare derivative sums of f across a junction, orders 1..order.
 
-    The junction is the one boundary i where stage-i segments end at the
-    branch point (incoming, one-sided derivatives at t=1) and stage-(i+1)
-    segments start there (outgoing, at t=0); a junction of several
+    The junction is the one boundary i where the components of the
+    within-bp.tol_eq graph of the stage-i ends within bp.tol_eq of the branch
+    point hold stage-(i+1) starts. Stage-i segments that end in those
+    components are incoming (one-sided derivatives at t=1), stage-(i+1)
+    segments that start there outgoing (at t=0); a junction of several
     boundaries raises ValueError. The tolerance is JET_TOL scaled by
     max(1, max |f| over the involved samples). Orders above the sampling
     resolution raise InsufficientResolution; higher orders also amplify
@@ -283,8 +306,10 @@ def jet_match(
     p = frozen(as_point(branch_point))
     found = {}
     for i in range(len(bp.stages) - 1):
-        seen_in = [g for g in bp.stages[i] if np.linalg.norm(g.omega - p) <= bp.tol_eq]
-        seen_out = [g for g in bp.stages[i + 1] if np.linalg.norm(g.alpha - p) <= bp.tol_eq]
+        points, k, labels = bp._boundary(i)
+        at = np.isin(labels, labels[:k][np.linalg.norm(points[:k] - p, axis=1) <= bp.tol_eq])
+        seen_in = [g for g, hit in zip(bp.stages[i], at[:k]) if hit]
+        seen_out = [g for g, hit in zip(bp.stages[i + 1], at[k:]) if hit]
         if seen_in and seen_out:
             found[i] = (seen_in, seen_out)
     if not found:

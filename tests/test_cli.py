@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from branchspace.hausdorff import trajectory_to_dict, two_particle_merge_traject
 from branchspace.measure import GridFunction, make_translated_bump_path, write_grid
 from branchspace.paths import (
     BranchedPath,
+    PathSegment,
     branched_path_to_dict,
     coordinate_functions,
     jet_match,
@@ -320,6 +324,8 @@ def test_an_empty_configuration_file_exits_2_with_the_reason(capsys, tmp_path, a
 
 
 GOOD_GRID = {"dims": [3], "h": 0.1, "origin": [0.0], "values": [0.0, 1.0, 0.0]}
+SEGMENT_1D = {"samples": [[k / 8, [1.0 + k / 8]] for k in range(9)]}
+SEGMENT_2D = {"samples": [[k / 8, [k / 8, 0.0]] for k in range(9)]}
 
 
 @pytest.mark.parametrize(
@@ -334,6 +340,8 @@ GOOD_GRID = {"dims": [3], "h": 0.1, "origin": [0.0], "values": [0.0, 1.0, 0.0]}
         (["branched-path", "--input", "{bad}"], {"stages": 5}),
         (["branched-path", "--input", "{bad}"], {"stages": [[{"samples": 3}]]}),
         (["branched-path", "--input", "{bad}"], {"stages": [[{"samples": [[0.0, [0.0]], [1.0]]}]]}),
+        (["branched-path", "--input", "{bad}"], {"stages": [[SEGMENT_2D, SEGMENT_1D]]}),
+        (["branched-path", "--input", "{bad}"], {"stages": [[SEGMENT_1D], [SEGMENT_2D]]}),
         (["measure", "--frames", "{dir}", "--region", "{good}"], dict(GOOD_GRID, dims=3)),
         (["measure", "--frames", "{frames}", "--region", "{bad}"], dict(GOOD_GRID, dims=3)),
     ],
@@ -432,6 +440,20 @@ def test_branched_path_tol_eq_reaches_every_check(capsys, tmp_path, fmt):
             assert [j["boundary"] for j in rec["junctions"]] == [0, 1]
         else:
             assert out.count("->") == 4
+
+
+def test_branched_path_bridge_is_one_junction(capsys, tmp_path):
+    # the start (0.9e-9, 0) joins the ends (0, 0) and (1.8e-9, 0), which are
+    # farther apart than tol_eq: one junction, where the y speeds -1 and +1
+    # come in and 0 goes out
+    seg = lambda a, b: PathSegment.from_function(lambda t: (1.0 - t) * np.asarray(a) + t * np.asarray(b), 64)
+    bp = BranchedPath([[seg((-1.0, 1.0), (0.0, 0.0)), seg((-1.0, -1.0), (1.8e-9, 0.0))], [seg((0.9e-9, 0.0), (1.0, 0.0))]])
+    write_json(branched_path_to_dict(bp), tmp_path / "bridge.json")
+    code, out, _ = run(capsys, "branched-path", "--input", str(tmp_path / "bridge.json"))
+    assert code == 0
+    (jet,) = json.loads(out)["junctions"]
+    assert (jet["boundary"], jet["junction"]) == (0, [0.0, 0.0])
+    assert jet["checks"][1]["residuals"]["1"] < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +559,24 @@ def test_measure_frame_with_a_bad_number_is_named(capsys, tmp_path, text):
     )
     assert (code, out) == (2, "")
     assert err.endswith("frame_0.txt: could not convert string to float: 'abc'\n")
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+def test_only_branched_paths_import_csgraph():
+    # the connected-components import stays out of every other command's cold start
+    probe = (
+        "import sys, branchspace.cli\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+        "branchspace.cli.validate_branched(branchspace.cli.make_split_loop(16))\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    src = str(Path(sys.modules["branchspace"].__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchspace import (
     BranchedPath,
@@ -11,6 +13,7 @@ from branchspace import (
     NotAJunction,
     PathSegment,
     compose,
+    hausdorff_distance,
     jet_match,
     make_split_loop,
     validate_branched,
@@ -148,6 +151,18 @@ def test_incompatible_duplicate_segments_rejected():
     report = validate_branched(BranchedPath([[g, g]]))
     assert not report.ok
     assert "incompatible" in report.reason
+
+
+@pytest.mark.parametrize(
+    "stages, message",
+    [
+        ([[line((0.0, 0.0), (1.0, 0.0)), line((0.0,), (1.0,))]], "segment 1 of stage 0 has dimension 1, segment 0 of stage 0 has 2"),
+        ([[line((0.0,), (1.0,))], [line((1.0, 0.0, 0.0), (2.0, 0.0, 0.0))]], "segment 0 of stage 1 has dimension 3, segment 0 of stage 0 has 1"),
+    ],
+)
+def test_mixed_dimensions_are_named(stages, message):
+    with pytest.raises(ValueError, match=message):
+        BranchedPath(stages)
 
 
 def test_same_endpoints_different_images_compatible():
@@ -290,6 +305,125 @@ def test_the_path_tolerance_decides_gluing_junctions_and_dot():
     n2 = lambda bp: branched_path_to_dot(bp).split('n2 [label="')[1].split('"')[0]
     assert n2(tight).count(";") == 1
     assert n2(loose).count(";") == 0
+
+
+# ---------------------------------------------------------------------------
+# one junction model: components of the within-tol_eq graph
+# ---------------------------------------------------------------------------
+
+def dedup(points, tol_eq):
+    """The greedy reference: keep each point farther than tol_eq from every
+    point kept before it."""
+    out = []
+    for p in points:
+        if not any(np.linalg.norm(p - q) <= tol_eq for q in out):
+            out.append(p)
+    return np.asarray(out)
+
+
+class DedupPath(BranchedPath):
+    """The same path with the greedy reference configurations."""
+
+    def omega_config(self, i):
+        return dedup(np.asarray([g.omega for g in self.stages[i]]), self.tol_eq)
+
+    def alpha_config(self, i):
+        return dedup(np.asarray([g.alpha for g in self.stages[i]]), self.tol_eq)
+
+
+def bowed(a, b, u, tol_eq, m=8):
+    """From a to b, bowed by 10 (u + 1) tol_eq along the first axis: segments
+    of one stage with different u have images farther apart than tol_eq."""
+    t = (np.arange(m + 1) / m)[:, None]
+    bow = 40.0 * (u + 1) * tol_eq * t * (1.0 - t) * np.eye(len(a))[0]
+    return PathSegment((1.0 - t) * a + t * b + bow)
+
+
+@st.composite
+def chain_free_paths(draw):
+    """2-3 stages of 1-5 segments in d = 1..3 whose endpoints sit in clusters:
+    a lattice cell of side 4 tol_eq plus an offset 0 or +-h e_k,
+    h = tol_eq (1 - 1e-9) / 2. Two endpoints are at most 2h apart in a
+    cluster, exact duplicates included, and at least 3 tol_eq apart across
+    clusters. Start points are drawn from the previous stage's end cells or
+    from any cell, so that both verdicts occur."""
+    d = draw(st.integers(1, 3))
+    tol_eq = draw(st.sampled_from([1e-9, 1e-3, 1.0]))
+    h = tol_eq * (1.0 - 1e-9) / 2.0
+    offsets = [np.zeros(d)] + [s * h * e for e in np.eye(d) for s in (1.0, -1.0)]
+    cell = st.tuples(*[st.integers(0, 2)] * d)
+
+    def point(c):
+        return 4.0 * tol_eq * np.asarray(c, dtype=float) + offsets[draw(st.integers(0, len(offsets) - 1))]
+
+    stages, ends, u = [], None, 0
+    for _ in range(draw(st.integers(2, 3))):
+        stage = []
+        for _ in range(draw(st.integers(1, 5))):
+            start = cell if ends is None else st.one_of(st.sampled_from(ends), cell)
+            stage.append(bowed(point(draw(start)), point(draw(cell)), u, tol_eq))
+            u += 1
+        ends = [tuple(np.rint(g.omega / (4.0 * tol_eq)).astype(int)) for g in stage]
+        stages.append(stage)
+    return BranchedPath(stages, tol_eq)
+
+
+@given(chain_free_paths())
+@settings(deadline=None, max_examples=300)
+def test_components_match_the_greedy_reference_without_chains(bp):
+    ref, tol_eq = DedupPath(bp.stages, bp.tol_eq), bp.tol_eq
+    for i in range(len(bp.stages)):
+        assert np.array_equal(bp.omega_config(i), ref.omega_config(i))
+        assert np.array_equal(bp.alpha_config(i), ref.alpha_config(i))
+    want = (True, None, None)
+    for i in range(len(bp.stages) - 1):
+        gap = hausdorff_distance(ref.omega_config(i), ref.alpha_config(i + 1))
+        if gap > tol_eq:
+            want = (False, i, gap)
+            break
+    report = validate_branched(bp)
+    assert (report.ok, report.stage, report.gap) == want
+    got, expected = bp.junctions(), ref.junctions()
+    assert [i for i, _ in got] == [i for i, _ in expected]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, expected))
+    assert branched_path_to_dot(bp) == branched_path_to_dot(ref)
+    for i, points in expected:
+        pair = BranchedPath(bp.stages[i : i + 2], tol_eq)
+        for p in points:
+            incoming = sum(np.linalg.norm(g.omega - p) <= tol_eq for g in pair.stages[0])
+            outgoing = sum(np.linalg.norm(g.alpha - p) <= tol_eq for g in pair.stages[1])
+            if outgoing == 0:
+                with pytest.raises(NotAJunction):
+                    jet_match(pair, p, FX, order=1)
+                continue
+            res = jet_match(pair, p, FX, order=1)
+            assert (res.incoming, res.outgoing) == (incoming, outgoing)
+
+
+def test_a_chain_of_starts_is_one_junction_for_the_jets():
+    # the starts 0.9e-9 and 1.7e-9 are one component with the end 0 through
+    # each other, though 1.7e-9 is farther than tol_eq from it
+    g_in = line((-1.0, 0.0), (0.0, 0.0))
+    bp = BranchedPath([[g_in], [line((0.9e-9, 0.0), (1.0, 1.0)), line((1.7e-9, 0.0), (1.0, -1.0))]], 1e-9)
+    assert validate_branched(bp).ok
+    ((boundary, points),) = bp.junctions()
+    assert boundary == 0 and points.tolist() == [[0.0, 0.0]]
+    res = jet_match(bp, [0.0, 0.0], FY, order=1)
+    assert (res.incoming, res.outgoing) == (1, 2)
+    assert res.residual(1) < 1e-12
+
+
+def test_a_chain_of_starts_reaching_past_two_tolerances_glues():
+    # starts 0.9, 1.8 and 2.7 tol_eq along x from the only end: one
+    # component, though the greedy configurations {0.9, 2.7} tol_eq are
+    # 2.7 tol_eq from the end in the Hausdorff distance
+    tol_eq = 1e-9
+    outgoing = [line((x, 0.0), (1.0, y)) for x, y in [(0.9e-9, 1.0), (1.8e-9, 2.0), (2.7e-9, 3.0)]]
+    bp = BranchedPath([[line((-1.0, 0.0), (0.0, 0.0))], outgoing], tol_eq)
+    assert validate_branched(bp).ok
+    assert bp.alpha_config(1).tolist() == [[0.9e-9, 0.0]]
+    ref = DedupPath(bp.stages, tol_eq)
+    assert hausdorff_distance(ref.omega_config(0), ref.alpha_config(1)) > 2.0 * tol_eq
 
 
 # ---------------------------------------------------------------------------
