@@ -41,7 +41,6 @@ from .errors import (
     LengthMismatch,
     NonConstantCardinality,
     NonMonotoneTime,
-    NotAJunction,
     NotInDomain,
     NotInOverlap,
     OutOfUnitBall,
@@ -70,6 +69,7 @@ from .paths import (
     BranchedPath,
     BranchedPathReport,
     JetMatchResult,
+    Junction,
     PathSegment,
     compose,
     jet_match,

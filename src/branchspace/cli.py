@@ -259,22 +259,19 @@ def cmd_branched_path(args) -> int:
         return 0
 
     jets = []
-    for boundary, points in bp.junctions():
-        # each boundary's jets compare that boundary's segments only
-        pair = BranchedPath(bp.stages[boundary : boundary + 2], bp.tol_eq)
-        for p in points:
-            per_f = []
-            for j, f in enumerate(coordinate_functions(bp.dimension)):
-                res = jet_match(pair, p, f, order=args.jet_order)
-                per_f.append(
-                    {
-                        "function": f"x{j}",
-                        "passed": res.passed,
-                        "residuals": {str(k): v for k, v in res.residuals.items()},
-                        "tolerance": res.tolerance,
-                    }
-                )
-            jets.append({"boundary": boundary, "junction": p.tolist(), "checks": per_f})
+    for junction in bp.junctions():
+        per_f = []
+        for j, f in enumerate(coordinate_functions(bp.dimension)):
+            res = jet_match(junction, f, order=args.jet_order)
+            per_f.append(
+                {
+                    "function": f"x{j}",
+                    "passed": res.passed,
+                    "residuals": {str(k): v for k, v in res.residuals.items()},
+                    "tolerance": res.tolerance,
+                }
+            )
+        jets.append({"boundary": junction.boundary, "junction": junction.point.tolist(), "checks": per_f})
     out = {"valid": True, "stages": [len(s) for s in bp.stages], "junctions": jets}
     _emit(args, _dumps(out))
     return 0

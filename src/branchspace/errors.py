@@ -69,10 +69,6 @@ class EndpointMismatch(BranchSpaceError):
         super().__init__(message or f"endpoint gap {self.gap:.6g} exceeds tolerance")
 
 
-class NotAJunction(BranchSpaceError):
-    """The requested point is not a stage junction of the branched path."""
-
-
 class InsufficientResolution(BranchSpaceError):
     """Segment sampling too coarse for the requested derivative order."""
 

@@ -5,9 +5,10 @@ with endpoints alpha (start) and omega (end). A branched path is a
 sequence of stages, each a set of mutually compatible segments, where the
 set of stage-i endpoints equals the set of stage-(i+1) start points; the
 points of one component of the within-tol_eq graph at a stage boundary, for
-the path's own tol_eq, are one point. At a junction of one stage boundary,
-derivative sums of a test function over incoming and outgoing segments can
-be compared order by order (truncated jets, one-sided finite differences).
+the path's own tol_eq, are one point. A junction is such a component that
+holds both stage-i ends and stage-(i+1) starts; derivative sums of a test
+function over its incoming and outgoing segments can be compared order by
+order (truncated jets, one-sided finite differences).
 """
 
 from __future__ import annotations
@@ -20,12 +21,8 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, _check_tol_eq, as_point, as_point_array, frozen
-from .errors import (
-    EndpointMismatch,
-    InsufficientResolution,
-    NotAJunction,
-)
+from .config import DEFAULT_TOL_EQ, _check_tol_eq, as_point_array, frozen
+from .errors import EndpointMismatch, InsufficientResolution
 from .hausdorff import hausdorff_distance
 
 MIN_INTERVALS = 8
@@ -147,6 +144,19 @@ def _clusters(points: np.ndarray, tol_eq: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Junction:
+    """A component at stage boundary i = `boundary` that holds stage-i ends
+    and stage-(i+1) starts: `point` is its lowest-index end, `incoming` the
+    stage-i segments that end in it, `outgoing` the stage-(i+1) segments
+    that start in it, both in stage order."""
+
+    boundary: int
+    point: np.ndarray
+    incoming: tuple[PathSegment, ...]
+    outgoing: tuple[PathSegment, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class BranchedPath:
     """Stages of segments, glued endpoint-configuration to start-configuration;
     every question asked of the path takes the points of one component of
@@ -189,11 +199,17 @@ class BranchedPath:
         points, k, labels = self._boundary(i - 1)
         return points[k + np.sort(np.unique(labels[k:], return_index=True)[1])]
 
-    def junctions(self) -> list[tuple[int, np.ndarray]]:
-        """(boundary index i, junction points) for each stage pair
-        (i, i+1); the points are the lowest-index stage-i endpoint of each
-        component of the within-tol_eq graph at boundary i."""
-        return [(i, self.omega_config(i)) for i in range(len(self.stages) - 1)]
+    def junctions(self) -> list[Junction]:
+        """The junctions in boundary order, then in omega_config(i) order."""
+        out = []
+        for i in range(len(self.stages) - 1):
+            points, k, labels = self._boundary(i)
+            for e in np.sort(np.unique(labels[:k], return_index=True)[1]):
+                incoming = tuple(g for g, c in zip(self.stages[i], labels[:k]) if c == labels[e])
+                outgoing = tuple(g for g, c in zip(self.stages[i + 1], labels[k:]) if c == labels[e])
+                if outgoing:
+                    out.append(Junction(i, frozen(points[e]), incoming, outgoing))
+        return out
 
 
 @dataclass(frozen=True)
@@ -284,39 +300,19 @@ class JetMatchResult:
 
 
 def jet_match(
-    bp: BranchedPath,
-    branch_point,
-    f: Callable[[np.ndarray], float],
-    order: int = DEFAULT_JET_ORDER,
+    junction: Junction, f: Callable[[np.ndarray], float], order: int = DEFAULT_JET_ORDER
 ) -> JetMatchResult:
     """Compare derivative sums of f across a junction, orders 1..order.
 
-    The junction is the one boundary i where the components of the
-    within-bp.tol_eq graph of the stage-i ends within bp.tol_eq of the branch
-    point hold stage-(i+1) starts. Stage-i segments that end in those
-    components are incoming (one-sided derivatives at t=1), stage-(i+1)
-    segments that start there outgoing (at t=0); a junction of several
-    boundaries raises ValueError. The tolerance is JET_TOL scaled by
-    max(1, max |f| over the involved samples). Orders above the sampling
-    resolution raise InsufficientResolution; higher orders also amplify
-    rounding noise by h^-order, so coarse segments need looser tolerances.
+    Incoming segments contribute one-sided derivatives at t=1, outgoing
+    ones at t=0. The tolerance is JET_TOL scaled by max(1, max |f| over the
+    involved samples). Orders above the sampling resolution raise
+    InsufficientResolution; higher orders also amplify rounding noise by
+    h^-order, so coarse segments need looser tolerances.
     """
     if not 1 <= order <= MAX_JET_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_JET_ORDER}")
-    p = frozen(as_point(branch_point))
-    found = {}
-    for i in range(len(bp.stages) - 1):
-        points, k, labels = bp._boundary(i)
-        at = np.isin(labels, labels[:k][np.linalg.norm(points[:k] - p, axis=1) <= bp.tol_eq])
-        seen_in = [g for g, hit in zip(bp.stages[i], at[:k]) if hit]
-        seen_out = [g for g, hit in zip(bp.stages[i + 1], at[k:]) if hit]
-        if seen_in and seen_out:
-            found[i] = (seen_in, seen_out)
-    if not found:
-        raise NotAJunction(f"{p.tolist()} is not a stage junction of this path")
-    if len(found) > 1:
-        raise ValueError(f"{p.tolist()} is a junction at boundaries {list(found)}; pass one boundary's two stages")
-    ((incoming, outgoing),) = found.values()
+    incoming, outgoing = junction.incoming, junction.outgoing
 
     min_m = min(g.intervals for g in incoming + outgoing)
     if min_m < 4 * order:
@@ -338,7 +334,7 @@ def jet_match(
         passed=all(r <= tol for r in residuals.values()),
         residuals=residuals,
         tolerance=tol,
-        junction=p,
+        junction=junction.point,
         incoming=len(incoming),
         outgoing=len(outgoing),
     )

@@ -115,9 +115,9 @@ def test_criterion_3_branched_path_example(capsys):
     bp = make_split_loop(m=256)
     fx, fy = (lambda q: float(q[0])), (lambda q: float(q[1]))
     worst = 0.0
-    for junction in ([-1.0, 0.0], [1.0, 0.0]):
+    for junction in bp.junctions():
         for f in (fx, fy):
-            res = jet_match(bp, junction, f, order=3)
+            res = jet_match(junction, f, order=3)
             worst = max(worst, res.residual(3))
             assert res.residual(3) <= 1e-4
 

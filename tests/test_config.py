@@ -369,7 +369,8 @@ def test_nonfinite_points_rejected(cls):
 ARRAY_HOLDERS = {
     "LocallyFiniteConfiguration": lambda: LocallyFiniteConfiguration([[0.0, 0.0], [1.0, 2.0]]),
     "Chart": lambda: build_chart(LocallyFiniteConfiguration([[0.0], [1.0], [3.0]])),
-    "JetMatchResult": lambda: jet_match(make_split_loop(m=64), [-1.0, 0.0], lambda q: q[1]),
+    "Junction": lambda: make_split_loop(m=64).junctions()[0],
+    "JetMatchResult": lambda: jet_match(make_split_loop(m=64).junctions()[0], lambda q: q[1]),
     "StratumEvent": lambda: StratumEvent(1.0, "merge", 2, 1, np.array([[0.0, 0.0]])),
     "BranchLocus": lambda: BranchLocus(np.array([0.1, 0.2]), 1, 2, 3.0),
     "Decomposition": lambda: Decomposition(np.array([[1.0, 2.0]]), None),
@@ -423,8 +424,6 @@ OWNERS = {
     "GridFunction.origin": (
         [0.5, -0.5], lambda o: GridFunction(np.ones((3, 4)), 0.1, o), lambda f: f.origin, None),
     "GridIndex": (UNIFORM, GridIndex, lambda idx: idx.points, _index_answers_for_its_points),
-    "JetMatchResult": (
-        [-1.0, 0.0], lambda p: jet_match(make_split_loop(m=64), p, lambda q: q[1]), lambda r: r.junction, None),
 }
 
 
@@ -440,6 +439,15 @@ def test_objects_keep_a_read_only_copy_of_the_callers_array(values, build, read,
         read(obj)[...] = 0.0
     if still_valid is not None:
         assert still_valid(obj, raw, before)
+
+
+def test_a_junction_point_and_its_jet_result_are_read_only():
+    junction = make_split_loop(m=64).junctions()[0]
+    result = jet_match(junction, lambda q: q[1])
+    for point in (junction.point, result.junction):
+        with pytest.raises(ValueError):
+            point[...] = 0.0
+    assert junction.point.tolist() == [-1.0, 0.0]
 
 
 SORTED = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 3.0]])

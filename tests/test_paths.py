@@ -10,7 +10,6 @@ from branchspace import (
     BranchedPath,
     EndpointMismatch,
     InsufficientResolution,
-    NotAJunction,
     PathSegment,
     compose,
     hausdorff_distance,
@@ -197,35 +196,36 @@ def test_fd_exact_on_polynomials():
 def test_straight_line_passes_every_order():
     g_in = line((-1.0, 0.0), (0.0, 0.0), m=64)
     g_out = line((0.0, 0.0), (1.0, 0.0), m=64)
-    bp = BranchedPath([[g_in], [g_out]])
+    (junction,) = BranchedPath([[g_in], [g_out]]).junctions()
     for order in range(1, 6):
-        res = jet_match(bp, [0.0, 0.0], FX, order=order)
+        res = jet_match(junction, FX, order=order)
         assert res.passed, res.residuals
 
 
 def test_split_junction_first_order_cancels():
     # outgoing arcs leave vertically with opposite speeds: pi - pi = 0,
     # matching the flat incoming line
-    bp = make_split_loop(m=256)
-    res = jet_match(bp, [-1.0, 0.0], FY, order=1)
+    left, _ = make_split_loop(m=256).junctions()
+    res = jet_match(left, FY, order=1)
     assert res.incoming == 1 and res.outgoing == 2
     assert res.residual(1) <= 1e-8
     assert res.passed
 
 
 def test_split_junction_order_three_residuals_small():
-    bp = make_split_loop(m=256)
-    for p in ([-1.0, 0.0], [1.0, 0.0]):
+    junctions = make_split_loop(m=256).junctions()
+    assert np.allclose([j.point for j in junctions], [[-1.0, 0.0], [1.0, 0.0]], rtol=0.0, atol=1e-12)
+    for junction in junctions:
         for f in (FX, FY):
-            res = jet_match(bp, p, f, order=3)
+            res = jet_match(junction, f, order=3)
             assert res.residual(3) <= 1e-4
 
 
 def test_split_junction_mirror_symmetry_breaks_at_low_orders():
     # the incoming line moves horizontally while the arc pair leaves
     # vertically: the x sums genuinely disagree at orders 1 and 2
-    bp = make_split_loop(m=256)
-    res = jet_match(bp, [-1.0, 0.0], FX, order=3)
+    left, _ = make_split_loop(m=256).junctions()
+    res = jet_match(left, FX, order=3)
     assert res.residual(1) == pytest.approx(1.0, abs=1e-6)
     assert res.residual(2) == pytest.approx(2.0 * math.pi**2, abs=1e-4)
     assert not res.passed
@@ -236,10 +236,10 @@ def test_perturbed_arc_fails_second_order():
     broken = PathSegment.from_function(
         lambda t: (np.cos(np.pi * (1.0 - t)), -np.sin(np.pi * t) + t * t), 256
     )
-    bp2 = BranchedPath([bp.stages[0], (bp.stages[1][0], broken), bp.stages[2]])
-    res1 = jet_match(bp2, [-1.0, 0.0], FY, order=1)
+    left, _ = BranchedPath([bp.stages[0], (bp.stages[1][0], broken), bp.stages[2]]).junctions()
+    res1 = jet_match(left, FY, order=1)
     assert res1.passed  # first derivatives still cancel
-    res2 = jet_match(bp2, [-1.0, 0.0], FY, order=2)
+    res2 = jet_match(left, FY, order=2)
     assert res2.residual(2) == pytest.approx(2.0, abs=1e-4)
     assert not res2.passed
 
@@ -250,33 +250,32 @@ def test_jet_residual_converges_at_least_second_order():
     # sampling refinement
     residuals = []
     for m in (32, 64, 128):
-        bp = make_split_loop(m=m)
-        residuals.append(jet_match(bp, [-1.0, 0.0], FX, order=3).residual(3))
+        left, _ = make_split_loop(m=m).junctions()
+        residuals.append(jet_match(left, FX, order=3).residual(3))
     assert residuals[1] <= residuals[0] / 3.9
     assert residuals[2] <= residuals[1] / 3.9
 
 
 def test_jet_errors():
-    bp = make_split_loop(m=256)
-    with pytest.raises(NotAJunction):
-        jet_match(bp, [5.0, 5.0], FX)
+    left, _ = make_split_loop(m=256).junctions()
     with pytest.raises(ValueError):
-        jet_match(bp, [-1.0, 0.0], FX, order=6)
-    tiny = make_split_loop(m=8)
+        jet_match(left, FX, order=6)
+    tiny, _ = make_split_loop(m=8).junctions()
     with pytest.raises(InsufficientResolution):
-        jet_match(tiny, [-1.0, 0.0], FX, order=5)
+        jet_match(tiny, FX, order=5)
 
 
 def test_jets_compare_one_boundary():
+    # B = (1, 0) is a junction at boundaries 0 and 2, each with its own segments
     bp = revisit_path()
     assert validate_branched(bp).ok
-    with pytest.raises(ValueError, match=r"boundaries \[0, 2\]"):
-        jet_match(bp, [1.0, 0.0], FX, order=1)
-    first = jet_match(BranchedPath(bp.stages[0:2]), [1.0, 0.0], FX, order=1)
-    assert (first.incoming, first.outgoing) == (1, 1)
-    assert first.residual(1) <= 1e-9
-    last = jet_match(BranchedPath(bp.stages[2:4]), [1.0, 0.0], FX, order=1)
-    assert last.residual(1) == pytest.approx(1.0, abs=1e-9)
+    first, _, last = bp.junctions()
+    assert (first.boundary, first.point.tolist()) == (0, [1.0, 0.0])
+    assert (last.boundary, last.point.tolist()) == (2, [1.0, 0.0])
+    res = jet_match(first, FX, order=1)
+    assert (res.incoming, res.outgoing) == (1, 1)
+    assert res.residual(1) <= 1e-9
+    assert jet_match(last, FX, order=1).residual(1) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +298,10 @@ def test_the_path_tolerance_decides_gluing_junctions_and_dot():
     assert validate_branched(tight).gap == pytest.approx(1e-7, rel=1e-6)
     assert validate_branched(loose).ok
     assert (len(tight.omega_config(1)), len(loose.omega_config(1))) == (2, 1)
-    assert jet_match(tight, [1.0, 0.0], FY, order=1).incoming == 1
-    assert jet_match(loose, [1.0, 0.0], FY, order=1).incoming == 2
+    # the lifted end has no start at the tight tolerance, so no junction
+    assert [j.boundary for j in tight.junctions()] == [0, 1]
+    assert jet_match(tight.junctions()[1], FY, order=1).incoming == 1
+    assert jet_match(loose.junctions()[1], FY, order=1).incoming == 2
     # the DOT node after stage 1 lists two points, or one
     n2 = lambda bp: branched_path_to_dot(bp).split('n2 [label="')[1].split('"')[0]
     assert n2(tight).count(";") == 1
@@ -383,21 +384,22 @@ def test_components_match_the_greedy_reference_without_chains(bp):
             break
     report = validate_branched(bp)
     assert (report.ok, report.stage, report.gap) == want
-    got, expected = bp.junctions(), ref.junctions()
-    assert [i for i, _ in got] == [i for i, _ in expected]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, expected))
     assert branched_path_to_dot(bp) == branched_path_to_dot(ref)
-    for i, points in expected:
-        pair = BranchedPath(bp.stages[i : i + 2], tol_eq)
-        for p in points:
-            incoming = sum(np.linalg.norm(g.omega - p) <= tol_eq for g in pair.stages[0])
-            outgoing = sum(np.linalg.norm(g.alpha - p) <= tol_eq for g in pair.stages[1])
-            if outgoing == 0:
-                with pytest.raises(NotAJunction):
-                    jet_match(pair, p, FX, order=1)
-                continue
-            res = jet_match(pair, p, FX, order=1)
-            assert (res.incoming, res.outgoing) == (incoming, outgoing)
+    # a junction is a reference end point with a start within tol_eq
+    expected = []
+    for i in range(len(bp.stages) - 1):
+        for p in ref.omega_config(i):
+            incoming = sum(np.linalg.norm(g.omega - p) <= tol_eq for g in bp.stages[i])
+            outgoing = sum(np.linalg.norm(g.alpha - p) <= tol_eq for g in bp.stages[i + 1])
+            if outgoing:
+                expected.append((i, p, incoming, outgoing))
+    got = bp.junctions()
+    assert len(got) == len(expected)
+    for junction, (i, p, incoming, outgoing) in zip(got, expected):
+        assert junction.boundary == i and np.array_equal(junction.point, p)
+        assert (len(junction.incoming), len(junction.outgoing)) == (incoming, outgoing)
+        res = jet_match(junction, FX, order=1)
+        assert (res.incoming, res.outgoing) == (incoming, outgoing)
 
 
 def test_a_chain_of_starts_is_one_junction_for_the_jets():
@@ -406,9 +408,9 @@ def test_a_chain_of_starts_is_one_junction_for_the_jets():
     g_in = line((-1.0, 0.0), (0.0, 0.0))
     bp = BranchedPath([[g_in], [line((0.9e-9, 0.0), (1.0, 1.0)), line((1.7e-9, 0.0), (1.0, -1.0))]], 1e-9)
     assert validate_branched(bp).ok
-    ((boundary, points),) = bp.junctions()
-    assert boundary == 0 and points.tolist() == [[0.0, 0.0]]
-    res = jet_match(bp, [0.0, 0.0], FY, order=1)
+    (junction,) = bp.junctions()
+    assert junction.boundary == 0 and junction.point.tolist() == [0.0, 0.0]
+    res = jet_match(junction, FY, order=1)
     assert (res.incoming, res.outgoing) == (1, 2)
     assert res.residual(1) < 1e-12
 
