@@ -14,7 +14,8 @@ order (truncated jets, one-sided finite differences).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from functools import lru_cache
+from math import factorial, fsum, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -253,32 +254,33 @@ def validate_branched(bp: BranchedPath) -> BranchedPathReport:
 # Truncated jets at junctions
 # ---------------------------------------------------------------------------
 
-def fd_weights(deriv: int, offsets: Sequence[float]) -> np.ndarray:
-    """Finite-difference weights on the given integer offsets (in units of
-    the step h): sum_j w_j f(x + o_j h) ~ h^deriv f^(deriv)(x)."""
-    offs = np.asarray(offsets, dtype=float)
-    n = offs.shape[0]
-    if deriv >= n:
-        raise ValueError("need more stencil points than the derivative order")
-    vander = np.vstack([offs**i / factorial(i) for i in range(n)])
-    rhs = np.zeros(n)
-    rhs[deriv] = 1.0
-    return np.linalg.solve(vander, rhs)
+@lru_cache(maxsize=2 * MAX_JET_ORDER)  # every jet order, forward and backward
+def fd_weights(deriv: int, offsets: tuple[int, ...]) -> tuple[float, ...]:
+    """Finite-difference weights on the integer offsets (in units of the
+    step h): sum_j w_j f(x + o_j h) ~ h^deriv f^(deriv)(x). Weight j is
+    deriv! [x^deriv] prod_{i!=j} (x - o_i) / prod_{i!=j} (o_j - o_i), a
+    rational (Fornberg, Math. Comp. 51, 1988) computed in integers and
+    rounded once."""
+    if not 0 <= deriv < len(offsets):
+        raise ValueError("the derivative order must be >= 0 and below the number of stencil points")
+    weights = []
+    for j, oj in enumerate(offsets):
+        others = offsets[:j] + offsets[j + 1 :]
+        poly = [1]  # coefficients of prod (x - o_i), lowest degree first
+        for o in others:
+            poly = [a - o * b for a, b in zip([0] + poly, poly + [0])]
+        weights.append(factorial(deriv) * poly[deriv] / prod(oj - o for o in others))
+    return tuple(weights)
 
 
 def _one_sided_derivative(samples: np.ndarray, order: int, at_start: bool) -> float:
     """order-th derivative of a sampled scalar function at t=0 (forward
-    stencil) or t=1 (backward stencil)."""
+    stencil) or t=1 (backward stencil); the weighted samples are summed
+    with fsum, so the result does not depend on summation order."""
     m = samples.shape[0] - 1
-    npts = order + _STENCIL_EXTRA
-    h = 1.0 / m
-    if at_start:
-        w = fd_weights(order, np.arange(npts))
-        vals = samples[:npts]
-    else:
-        w = fd_weights(order, -np.arange(npts))
-        vals = samples[::-1][:npts]
-    return float(w @ vals) / h**order
+    sign, origin = (1, 0) if at_start else (-1, m)
+    offsets = tuple(sign * o for o in range(order + _STENCIL_EXTRA))
+    return fsum(w * samples[origin + o] for w, o in zip(fd_weights(order, offsets), offsets)) * m**order
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,9 +296,6 @@ class JetMatchResult:
     junction: np.ndarray
     incoming: int
     outgoing: int
-
-    def residual(self, order: int) -> float:
-        return self.residuals[order]
 
 
 def jet_match(

@@ -41,3 +41,15 @@ def revisit_path(m=64):
         [PathSegment.from_function(lambda t: (1.0, 1.0 - t), m)],
         [PathSegment.from_function(lambda t: (1.0 - t, 0.0), m)],
     ])
+
+
+def dyadic_split_loop(m=256):
+    """The split loop with parabolic arcs: a line into (-1, 0), the arcs
+    (x, +-(1 - x^2)) with x = 2t - 1, and a line out of (1, 0). For m a
+    power of two every sample is a dyadic rational computed exactly, with
+    no libm call, so its JSON bytes are fixed."""
+    return BranchedPath([
+        [PathSegment.from_function(lambda t: (t - 2.0, 0.0), m)],
+        [PathSegment.from_function(lambda t, s=s: (2.0 * t - 1.0, s * (1.0 - (2.0 * t - 1.0) ** 2)), m) for s in (1.0, -1.0)],
+        [PathSegment.from_function(lambda t: (t + 1.0, 0.0), m)],
+    ])

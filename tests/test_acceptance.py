@@ -118,8 +118,8 @@ def test_criterion_3_branched_path_example(capsys):
     for junction in bp.junctions():
         for f in (fx, fy):
             res = jet_match(junction, f, order=3)
-            worst = max(worst, res.residual(3))
-            assert res.residual(3) <= 1e-4
+            worst = max(worst, res.residuals[3])
+            assert res.residuals[3] <= 1e-4
 
     perturbed = make_split_loop(m=256, final_offset=(0.0, 0.1))
     rep = validate_branched(perturbed)

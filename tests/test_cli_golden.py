@@ -6,8 +6,9 @@ Regenerate the file only for an output change that CHANGES.md logs:
     PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.json
 
 Left out, because their bytes are not fixed by the code alone:
-- the `branched-path` JSON: its jet residuals go through LAPACK `solve`
-  and BLAS `dot`, whose last bits may differ between machines;
+- the `branched-path --demo` JSON: its samples, and so its jet residuals,
+  come from `np.sin` and `np.cos`, whose last bits may differ between
+  machines; the `--input` JSON of a path sampled without libm stands in;
 - `branched-path --perturb`: the gap on stderr depends on the last bits
   of `np.sin(pi)`;
 - `hausdorff --bench`: its output holds timings.
@@ -25,6 +26,9 @@ import pytest
 
 from branchspace.cli import main
 from branchspace.measure import GridFunction, make_translated_bump_path, write_grid
+from branchspace.paths import branched_path_to_dict
+
+from conftest import dyadic_split_loop
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -34,6 +38,8 @@ COMMANDS = [
     ["simulate", "--demo", "two-particle-merge", "--format", "csv"],
     ["chart", "--demo", "three-points"],
     ["branched-path", "--demo", "paper-circle", "--format", "dot"],
+    ["branched-path", "--input", "{dir}/split.json"],
+    ["branched-path", "--input", "{dir}/split.json", "--format", "dot"],
     ["bifurcate", "--a-min", "2.5", "--a-max", "3.56", "--steps", "2000"],
     ["bifurcate", "--a-min", "3.57", "--a-max", "4.0", "--steps", "2000"],
     ["section", "--field", "2.5+1.0*x", "--grid-n", "101"],
@@ -54,6 +60,7 @@ def write_inputs(directory: Path) -> None:
     for i, f in enumerate(frames):
         write_grid(f, directory / "frames" / f"frame_{i:03d}.txt")
     write_grid(GridFunction(region.astype(float), frames[0].spacing), directory / "region.txt")
+    (directory / "split.json").write_text(json.dumps(branched_path_to_dict(dyadic_split_loop())))
 
 
 def observe(argv: list[str], directory: Path) -> dict:

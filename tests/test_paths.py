@@ -18,6 +18,7 @@ from branchspace import (
     validate_branched,
 )
 from branchspace.paths import (
+    MAX_JET_ORDER,
     branched_path_from_dict,
     branched_path_to_dict,
     branched_path_to_dot,
@@ -26,7 +27,7 @@ from branchspace.paths import (
     segments_compatible,
 )
 
-from conftest import revisit_path
+from conftest import dyadic_split_loop, revisit_path
 
 FX = lambda q: float(q[0])
 FY = lambda q: float(q[1])
@@ -175,9 +176,34 @@ def test_same_endpoints_different_images_compatible():
 # jets
 # ---------------------------------------------------------------------------
 
+def vandermonde_weights(deriv, offsets):
+    # oracle: solve sum_j w_j o_j^i / i! = [i == deriv] in floating point
+    offs = np.asarray(offsets, dtype=float)
+    vander = np.vstack([offs**i / math.factorial(i) for i in range(offs.shape[0])])
+    rhs = np.zeros(offs.shape[0])
+    rhs[deriv] = 1.0
+    return np.linalg.solve(vander, rhs)
+
+
 def test_fd_weights_standard_stencils():
-    assert np.allclose(fd_weights(1, [0, 1, 2]), [-1.5, 2.0, -0.5], atol=1e-12)
-    assert np.allclose(fd_weights(2, [-1, 0, 1]), [1.0, -2.0, 1.0], atol=1e-12)
+    assert fd_weights(1, (0, 1, 2)) == (-1.5, 2.0, -0.5)
+    assert fd_weights(2, (-1, 0, 1)) == (1.0, -2.0, 1.0)
+
+
+@pytest.mark.parametrize("k", range(1, MAX_JET_ORDER + 1))
+def test_fd_weights_match_the_vandermonde_solve_and_mirror_exactly(k):
+    offsets = tuple(range(k + 4))
+    mirrored = tuple(-o for o in offsets)
+    for offs in (offsets, mirrored):
+        assert np.allclose(fd_weights(k, offs), vandermonde_weights(k, offs), rtol=1e-12, atol=0.0)
+    assert fd_weights(k, mirrored) == tuple((-1) ** k * w for w in fd_weights(k, offsets))
+
+
+def test_fd_weights_reject_a_negative_or_too_high_order():
+    with pytest.raises(ValueError):
+        fd_weights(-1, (0, 1, 2))
+    with pytest.raises(ValueError):
+        fd_weights(3, (0, 1, 2))
 
 
 def test_fd_exact_on_polynomials():
@@ -208,7 +234,7 @@ def test_split_junction_first_order_cancels():
     left, _ = make_split_loop(m=256).junctions()
     res = jet_match(left, FY, order=1)
     assert res.incoming == 1 and res.outgoing == 2
-    assert res.residual(1) <= 1e-8
+    assert res.residuals[1] <= 1e-8
     assert res.passed
 
 
@@ -218,7 +244,7 @@ def test_split_junction_order_three_residuals_small():
     for junction in junctions:
         for f in (FX, FY):
             res = jet_match(junction, f, order=3)
-            assert res.residual(3) <= 1e-4
+            assert res.residuals[3] <= 1e-4
 
 
 def test_split_junction_mirror_symmetry_breaks_at_low_orders():
@@ -226,9 +252,19 @@ def test_split_junction_mirror_symmetry_breaks_at_low_orders():
     # vertically: the x sums genuinely disagree at orders 1 and 2
     left, _ = make_split_loop(m=256).junctions()
     res = jet_match(left, FX, order=3)
-    assert res.residual(1) == pytest.approx(1.0, abs=1e-6)
-    assert res.residual(2) == pytest.approx(2.0 * math.pi**2, abs=1e-4)
+    assert res.residuals[1] == pytest.approx(1.0, abs=1e-6)
+    assert res.residuals[2] == pytest.approx(2.0 * math.pi**2, abs=1e-4)
     assert not res.passed
+
+
+def test_mirror_junctions_of_an_exactly_sampled_split_report_equal_residuals():
+    # the two junctions are mirror images and every sample is exact, so the
+    # exact stencil weights and sums give bitwise equal residuals
+    left, right = dyadic_split_loop().junctions()
+    for k in range(1, MAX_JET_ORDER + 1):
+        assert jet_match(left, FX, k).residuals == jet_match(right, FX, k).residuals
+        assert set(jet_match(left, FY, k).residuals.values()) == {0.0}
+        assert set(jet_match(right, FY, k).residuals.values()) == {0.0}
 
 
 def test_perturbed_arc_fails_second_order():
@@ -240,7 +276,7 @@ def test_perturbed_arc_fails_second_order():
     res1 = jet_match(left, FY, order=1)
     assert res1.passed  # first derivatives still cancel
     res2 = jet_match(left, FY, order=2)
-    assert res2.residual(2) == pytest.approx(2.0, abs=1e-4)
+    assert res2.residuals[2] == pytest.approx(2.0, abs=1e-4)
     assert not res2.passed
 
 
@@ -251,7 +287,7 @@ def test_jet_residual_converges_at_least_second_order():
     residuals = []
     for m in (32, 64, 128):
         left, _ = make_split_loop(m=m).junctions()
-        residuals.append(jet_match(left, FX, order=3).residual(3))
+        residuals.append(jet_match(left, FX, order=3).residuals[3])
     assert residuals[1] <= residuals[0] / 3.9
     assert residuals[2] <= residuals[1] / 3.9
 
@@ -274,8 +310,8 @@ def test_jets_compare_one_boundary():
     assert (last.boundary, last.point.tolist()) == (2, [1.0, 0.0])
     res = jet_match(first, FX, order=1)
     assert (res.incoming, res.outgoing) == (1, 1)
-    assert res.residual(1) <= 1e-9
-    assert jet_match(last, FX, order=1).residual(1) == pytest.approx(1.0, abs=1e-9)
+    assert res.residuals[1] <= 1e-9
+    assert jet_match(last, FX, order=1).residuals[1] == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +448,7 @@ def test_a_chain_of_starts_is_one_junction_for_the_jets():
     assert junction.boundary == 0 and junction.point.tolist() == [0.0, 0.0]
     res = jet_match(junction, FY, order=1)
     assert (res.incoming, res.outgoing) == (1, 2)
-    assert res.residual(1) < 1e-12
+    assert res.residuals[1] < 1e-12
 
 
 def test_a_chain_of_starts_reaching_past_two_tolerances_glues():
