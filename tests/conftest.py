@@ -31,6 +31,27 @@ def random_configuration(rng, n: int, dim: int, scale: float = 10.0) -> Configur
     return Configuration(pts)
 
 
+def segment_image_distance(s1: PathSegment, s2: PathSegment) -> float:
+    """Symmetric distance between segment images as polylines: max over
+    the samples of one of the distance to the other's polyline. The oracle
+    of `paths.segments_compatible`, which only decides whether it exceeds
+    tol_eq."""
+    return max(_samples_to_polyline(s1.values, s2.values), _samples_to_polyline(s2.values, s1.values))
+
+
+def _samples_to_polyline(samples: np.ndarray, poly: np.ndarray) -> float:
+    a, b = poly[:-1], poly[1:]  # (k, d) segment endpoints
+    ab = b - a
+    denom = np.sum(ab**2, axis=1)
+    denom[denom == 0.0] = 1.0
+    worst = 0.0
+    for p in samples:
+        t = np.clip(np.sum((p - a) * ab, axis=1) / denom, 0.0, 1.0)
+        proj = a + t[:, None] * ab
+        worst = max(worst, float(np.min(np.sqrt(np.sum((proj - p) ** 2, axis=1)))))
+    return worst
+
+
 def revisit_path(m=64):
     """A -> B, B -> C, C -> B, B -> A with A = (0, 0), B = (1, 0), C = (1, 1):
     B is the junction of boundaries 0 and 2. At boundary 0 the x speeds

@@ -17,17 +17,17 @@ from branchspace import (
     make_split_loop,
     validate_branched,
 )
+from branchspace import paths
 from branchspace.paths import (
     MAX_JET_ORDER,
     branched_path_from_dict,
     branched_path_to_dict,
     branched_path_to_dot,
     fd_weights,
-    segment_image_distance,
     segments_compatible,
 )
 
-from conftest import dyadic_split_loop, revisit_path
+from conftest import dyadic_split_loop, revisit_path, segment_image_distance
 
 FX = lambda q: float(q[0])
 FY = lambda q: float(q[1])
@@ -522,6 +522,95 @@ def test_compatibility_asks_for_ends_and_image():
     flat = line((0.0, 0.0), (1.0, 0.0), m=8)
     assert segments_compatible(lifted, flat)
     assert not segments_compatible(lifted, flat, tol_eq=1e-6)
+
+
+@pytest.mark.parametrize("tol_eq", [-1.0, 0.0, float("nan"), float("inf")])
+def test_compatibility_rejects_a_tolerance_that_is_not_finite_and_positive(tol_eq):
+    g = line((0.0,), (1.0,), m=8)
+    with pytest.raises(ValueError, match="tol_eq"):
+        segments_compatible(g, g, tol_eq)
+
+
+def test_compatibility_stops_at_the_first_sample_beyond_tolerance(monkeypatch):
+    read, scan = [], paths._sample_distances
+
+    def counted(samples, poly):
+        for d in scan(samples, poly):
+            read.append(d)
+            yield d
+
+    monkeypatch.setattr(paths, "_sample_distances", counted)
+    # sample 1 of the upper arc lies about 2 sin(pi/m) from the lower arc
+    assert validate_branched(make_split_loop(4096)).ok
+    assert 0 < len(read) <= 4
+    # the same image sampled two ways: every sample of both is read
+    read.clear()
+    out_back = samples(*[(s,) for s in (0.0, 0.5, 1.0, 1.5, 2.0, 1.75, 1.5, 1.25, 1.0)])
+    assert not segments_compatible(out_back, out_back.resampled(32))
+    assert len(read) == 9 + 33
+
+
+@st.composite
+def compatibility_cases(draw):
+    """Two segments of 8-24 intervals in d = 1, 2, 3 or 8, and a length h
+    that is also asked as the tolerance:
+    - "lifted": the flat segment from a to a + L e_0 (L = 0 included) and
+      the same ends with the image lifted by h along e_{d-1} (along the
+      line itself in d = 1);
+    - "constant": a zero-length segment against a copy, a loop out and back,
+      or a constant segment h away;
+    - "collinear": two polylines on one line with the same ends whose
+      samples may backtrack and overshoot them;
+    - "free": two polylines, half of the time with the ends made equal."""
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    m1, m2 = draw(st.integers(8, 24)), draw(st.integers(8, 24))
+    t1, t2 = [(np.arange(m + 1) / m)[:, None] for m in (m1, m2)]
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    point = lambda: np.asarray(draw(st.lists(coord, min_size=d, max_size=d)))
+    h = draw(st.sampled_from([1e-12, 1e-9, 1e-7, 1e-3, 0.5]))
+    e0, e_last = np.eye(d)[0], np.eye(d)[d - 1]
+    kind = draw(st.sampled_from(["lifted", "constant", "collinear", "free"]))
+    if kind == "lifted":
+        a, length = point(), draw(st.floats(0.0, 4.0))
+        g1 = PathSegment(a + t1 * length * e0 + h * 4.0 * t1 * (1.0 - t1) * e_last)
+        g2 = PathSegment(a + t2 * length * e0)
+    elif kind == "constant":
+        p, other = point(), draw(st.sampled_from(["same", "loop", "near"]))
+        g1 = PathSegment(np.repeat(p[None, :], m1 + 1, axis=0))
+        if other == "same":
+            g2 = PathSegment(np.repeat(p[None, :], m2 + 1, axis=0))
+        elif other == "loop":
+            g2 = PathSegment(p + 4.0 * t2 * (1.0 - t2) * (point() - p))
+        else:
+            g2 = PathSegment(np.repeat((p + h * e0)[None, :], m2 + 1, axis=0))
+    elif kind == "collinear":
+        a, u = point(), point()
+        s = lambda m: [0.0] + draw(st.lists(st.floats(-1.0, 3.0), min_size=m - 1, max_size=m - 1)) + [1.0]
+        g1 = PathSegment(a + np.asarray(s(m1))[:, None] * u)
+        g2 = PathSegment(a + (t2 if draw(st.booleans()) else np.asarray(s(m2))[:, None]) * u)
+    else:
+        v1, v2 = [np.asarray([point() for _ in range(m + 1)]) for m in (m1, m2)]
+        if draw(st.booleans()):
+            v2[0], v2[-1] = v1[0], v1[-1]
+        g1, g2 = PathSegment(v1), PathSegment(v2)
+    return g1, g2, h
+
+
+@given(compatibility_cases())
+@settings(deadline=None, max_examples=300)
+def test_compatibility_matches_the_image_distance_oracle(case):
+    # at each tolerance and one ulp either side: the case's own, the end
+    # gaps, the image distance and the default
+    g1, g2, h = case
+    dist = segment_image_distance(g1, g2)
+    gaps = [float(np.linalg.norm(g1.alpha - g2.alpha)), float(np.linalg.norm(g1.omega - g2.omega))]
+    for base in (h, *gaps, dist, 1e-9):
+        for tol in (math.nextafter(base, 0.0), base, math.nextafter(base, math.inf)):
+            if not 0.0 < tol < math.inf:
+                continue
+            want = max(gaps) > tol or dist > tol
+            assert segments_compatible(g1, g2, tol) == want
+            assert segments_compatible(g2, g1, tol) == want
 
 
 # ---------------------------------------------------------------------------
