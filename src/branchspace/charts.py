@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, PointTuple, as_point_array, frozen, separations
+from .config import DEFAULT_TOL_EQ, PointTuple, _check_positive, as_point_array, frozen, separations
 from .errors import (
     DuplicatePoints,
     LengthMismatch,
@@ -89,6 +89,7 @@ def build_chart(u, tol_eq: float = DEFAULT_TOL_EQ) -> Chart:
     In the flat ambient space the supremum defining the chart radius is
     attained exactly at the separation, so this is closed form.
     """
+    _check_positive(tol_eq, "tol_eq")
     pts = as_point_array(u)
     if pts.shape[0] < 2:
         raise SingletonConfiguration("charts need at least two points")

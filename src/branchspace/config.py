@@ -61,9 +61,9 @@ def as_point_array(points, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _check_tol_eq(tol_eq: float) -> None:
-    if not 0.0 < tol_eq < math.inf:
-        raise ValueError(f"tol_eq must be finite and positive, got {tol_eq!r}")
+def _check_positive(value: float, name: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def euclidean(x: np.ndarray, y: np.ndarray) -> float:
@@ -134,7 +134,7 @@ class Configuration(PointTuple):
     tol_eq: float = DEFAULT_TOL_EQ
 
     def __post_init__(self):
-        _check_tol_eq(self.tol_eq)
+        _check_positive(self.tol_eq, "tol_eq")
         pts = as_point_array(self.points)
         object.__setattr__(self, "points", frozen(pts[canonical_order(pts)]))
         _check_distinct(self.points, self.tol_eq)

@@ -24,6 +24,7 @@ from scipy.spatial.distance import cdist
 from .config import (
     Configuration,
     DEFAULT_TOL_EQ,
+    _check_positive,
     as_point,
     as_point_array,
     configuration_from_dict,
@@ -168,6 +169,7 @@ def detect_stratum_events(
     (directed Hausdorff); splits are symmetric. Cardinality changes that
     are not local in this sense produce no event.
     """
+    _check_positive(merge_tol, "merge_tol")
     times = [float(t) for t, _ in traj]
     for a, b in zip(times, times[1:]):
         if not b > a:

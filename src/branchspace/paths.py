@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, _check_tol_eq, as_point_array, frozen
+from .config import DEFAULT_TOL_EQ, _check_positive, as_point_array, frozen
 from .errors import EndpointMismatch, InsufficientResolution
 from .hausdorff import hausdorff_distance
 
@@ -122,7 +122,7 @@ def segments_compatible(g1: PathSegment, g2: PathSegment, tol_eq: float = DEFAUL
     the same (alpha, omega) pair. Image equality is decided at sampling
     resolution, and the scan stops at the first sample of either segment
     that lies further than tol_eq from the other's polyline."""
-    _check_tol_eq(tol_eq)
+    _check_positive(tol_eq, "tol_eq")
     same_ends = (
         float(np.linalg.norm(g1.alpha - g2.alpha)) <= tol_eq
         and float(np.linalg.norm(g1.omega - g2.omega)) <= tol_eq
@@ -164,7 +164,7 @@ class BranchedPath:
     tol_eq: float
 
     def __init__(self, stages: Sequence[Sequence[PathSegment]], tol_eq: float = DEFAULT_TOL_EQ):
-        _check_tol_eq(tol_eq)
+        _check_positive(tol_eq, "tol_eq")
         object.__setattr__(self, "stages", tuple(tuple(stage) for stage in stages))
         object.__setattr__(self, "tol_eq", tol_eq)
         if not self.stages or any(len(s) == 0 for s in self.stages):

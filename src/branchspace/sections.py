@@ -44,6 +44,8 @@ class BranchedSectionSample:
 
     def __post_init__(self):
         pts = frozen(as_point_array(self.base_points))
+        if pts.shape[0] == 0:
+            raise ValueError("a section sample needs at least one base point")
         object.__setattr__(self, "base_points", pts)
         object.__setattr__(self, "fibers", tuple(self.fibers))
         if len(self.fibers) != pts.shape[0]:
@@ -123,8 +125,6 @@ def branched_equilibrium_section(
     crosses the cascade parameter, otherwise the midpoint is used.
     """
     pts = as_point_array(grid)
-    if pts.shape[0] == 0:
-        raise ValueError("grid must be nonempty")
     params = np.empty(pts.shape[0])
     fibers: list[Configuration | None] = []
     for i, g in enumerate(pts):

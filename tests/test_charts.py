@@ -133,6 +133,13 @@ def test_build_chart_duplicates_rejected():
         build_chart(u)
 
 
+@pytest.mark.parametrize("tol_eq", [np.nan, -1.0, 0.0, np.inf])
+def test_build_chart_rejects_a_bad_tolerance(tol_eq):
+    # with tol_eq = nan, distinct points were reported as duplicates
+    with pytest.raises(ValueError, match="tol_eq must be finite and positive"):
+        build_chart([[0.0], [1.0]], tol_eq=tol_eq)
+
+
 def test_build_chart_names_a_duplicate_by_its_input_index():
     # the duplicated point sorts first, at position 0
     with pytest.raises(DuplicatePoints, match="^point 1 has a neighbor"):

@@ -255,10 +255,12 @@ def assert_one_pass_is_two_pass(a: np.ndarray, b: np.ndarray) -> None:
         return  # two distinct points whose distance underflows to 0
     # the frames alternate, so one step merges and the next splits (none
     # at equal sizes); merge_tol is exactly the larger frame's directed
-    # distance to the smaller, so the threshold is met with equality
+    # distance to the smaller, so the threshold is met with equality; that
+    # distance is 0 only for equal frames, which have no event at any
+    # tolerance, and there the least positive one stands in
     traj = [(0.0, u), (1.0, w), (2.0, u)]
     big, small = (u, w) if len(u) > len(w) else (w, u)
-    merge_tol = two_pass_directed(big.points, small.points)
+    merge_tol = max(two_pass_directed(big.points, small.points), 5e-324)
     got = [(e.time, e.kind, e.location.tolist()) for e in detect_stratum_events(traj, merge_tol)]
     assert got == two_pass_events(traj, merge_tol)
 
@@ -420,6 +422,13 @@ def test_distant_disappearance_is_not_a_merge():
         (1.0, Configuration([[0.0]])),
     ]
     assert detect_stratum_events(traj, merge_tol=1.0) == []
+
+
+@pytest.mark.parametrize("merge_tol", [math.nan, -1.0, 0.0, math.inf])
+def test_merge_tolerance_must_be_finite_and_positive(merge_tol):
+    traj = two_particle_merge_trajectory(np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError, match="merge_tol must be finite and positive"):
+        detect_stratum_events(traj, merge_tol=merge_tol)
 
 
 def test_non_monotone_time():

@@ -20,6 +20,7 @@ from branchspace.logistic import (
     _DETECT_TOL,
     _polish_orbit,
     logistic,
+    orbit_for_period,
 )
 
 
@@ -168,6 +169,20 @@ def test_parameter_validation():
         logistic_attractor(2.5, max_period=3)
 
 
+@pytest.mark.parametrize("orbit_tol", [math.nan, -1.0, 0.0, math.inf])
+def test_orbit_tolerance_must_be_finite_and_positive(orbit_tol):
+    # a NaN or negative tolerance used to reject every Newton root, so the
+    # stable 2-cycle at a = 3.2 came back Chaotic after the full escalation
+    with pytest.raises(ValueError, match="orbit_tol must be finite and positive"):
+        logistic_attractor(3.2, orbit_tol=orbit_tol)
+
+
+def test_a_continued_orbit_starts_at_its_smallest_point():
+    orbit = orbit_for_period(3.5, 4, logistic_attractor(3.5).points[::-1])
+    assert orbit.period == 4
+    assert orbit.points[0] == min(orbit.points)
+
+
 # ---------------------------------------------------------------------------
 # bifurcation points
 # ---------------------------------------------------------------------------
@@ -187,6 +202,17 @@ def test_third_doubling_against_polynomial_oracle():
     oracle = multiplier_root_oracle(4, (3.52, 3.56))
     assert a3 == pytest.approx(oracle, abs=1e-6)
     assert a3 == pytest.approx(3.544090, abs=5e-6)
+
+
+def test_cascade_values_are_pinned_bit_for_bit():
+    assert bifurcation_points(6) == (
+        3.000000004768361,
+        3.449489745616897,
+        3.544090361716723,
+        3.564407268027881,
+        3.568759421797739,
+        3.5696916084485344,
+    )
 
 
 def test_cascade_is_increasing_and_feigenbaum_like():

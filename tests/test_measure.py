@@ -23,6 +23,7 @@ from branchspace.measure import (
     make_translated_bump_path,
     read_grid,
     region_ring,
+    support_mask,
     write_grid,
 )
 
@@ -48,6 +49,15 @@ def test_scaling_preserves_support_class():
     f = bump((9, 9), (slice(2, 5), slice(3, 6)))
     assert support_class(f.scaled(2.0)) == support_class(f)
     assert r_equivalent(f, f.scaled(2.0))
+
+
+@pytest.mark.parametrize("tol_supp", [np.nan, -1.0, 0.0, np.inf])
+def test_support_tolerance_must_be_finite_and_positive(tol_supp):
+    # with tol_supp = nan, a bump used to have no support at all
+    f = bump((9, 9), (slice(2, 5), slice(3, 6)))
+    for check in (support_mask, support_class):
+        with pytest.raises(ValueError, match="tol_supp must be finite and positive"):
+            check(f, tol_supp)
 
 
 def test_two_disjoint_bumps_component_volumes():

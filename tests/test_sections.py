@@ -129,6 +129,22 @@ def test_constant_section_decomposes_to_itself():
     assert np.allclose(dec.selections, 0.6, atol=1e-10)
 
 
+def test_a_sample_without_base_points_is_rejected():
+    # decompose_or_witness used to fail on such a sample with an IndexError
+    with pytest.raises(ValueError, match="at least one base point"):
+        BranchedSectionSample(np.empty((0, 1)), ())
+    with pytest.raises(ValueError, match="at least one base point"):
+        branched_equilibrium_section(lambda p: 3.2, np.empty((0, 1)))
+
+
+@pytest.mark.parametrize("orbit_tol", [math.nan, -1.0, 0.0, math.inf])
+def test_sweeps_reject_a_bad_orbit_tolerance(orbit_tol):
+    with pytest.raises(ValueError, match="orbit_tol must be finite and positive"):
+        bifurcation_rows(2.5, 3.2, 8, orbit_tol=orbit_tol)
+    with pytest.raises(ValueError, match="orbit_tol must be finite and positive"):
+        branched_equilibrium_section(lambda p: 3.2, line_grid(3), orbit_tol=orbit_tol)
+
+
 def test_spin_states_over_3d_base_decompose():
     # constant two-point fiber {down=0, up=1} over a 3-d window: the
     # product case splits into two constant sections
