@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,6 +65,12 @@ def as_point_array(points, dim: int | None = None) -> np.ndarray:
 def _check_positive(value: float, name: str) -> None:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_integer(value: int, name: str) -> None:
+    """Reject bool and non-integral values; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def euclidean(x: np.ndarray, y: np.ndarray) -> float:

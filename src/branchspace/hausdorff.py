@@ -24,6 +24,7 @@ from scipy.spatial.distance import cdist
 from .config import (
     Configuration,
     DEFAULT_TOL_EQ,
+    _check_integer,
     _check_positive,
     as_point,
     as_point_array,
@@ -240,6 +241,8 @@ def two_particle_merge_trajectory(times: Sequence[float] | None = None) -> list[
 def benchmark(n: int, dimension: int = 2, seed: int = 0) -> dict:
     """Time brute-force vs indexed Hausdorff distance on two uniform
     clouds of n points; reports agreement and speedup."""
+    for value, name in ((n, "n"), (dimension, "dimension"), (seed, "seed")):
+        _check_integer(value, name)
     rng = np.random.default_rng(seed)
     side = float(n) ** (1.0 / dimension)
     u = rng.uniform(0.0, side, size=(n, dimension))

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import _check_positive
+from .config import _check_integer, _check_positive
 from .errors import ParameterOutOfRange
 
 DEFAULT_ORBIT_TOL = 1e-10
@@ -157,6 +157,7 @@ def logistic_attractor(
     """
     a = _validate_parameter(a)
     _check_positive(orbit_tol, "orbit_tol")
+    _check_integer(max_period, "max_period")
     if max_period not in MAX_PERIODS:
         raise ValueError(f"max_period must be a power of 2 at most {MAX_PERIODS[-1]}")
 
@@ -229,66 +230,63 @@ def orbit_for_period(a: float, p: int, seeds) -> PeriodicOrbit | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def bifurcation_points(k_max: int) -> tuple[float, ...]:
     """The first k_max period-doubling parameters of the cascade.
 
     a_k is where the period-2^(k-1) orbit's multiplier crosses -1, located
     by bisection on the multiplier; the orbit itself is tracked across the
     bracket by Newton continuation, so the multiplier is available on both
-    sides of the crossing.
+    sides of the crossing. Each a_k is computed once per process.
     """
+    _check_integer(k_max, "k_max")
     if not 1 <= k_max <= 6:
         raise ValueError("k_max must be between 1 and 6")
+    return _cascade(k_max)
 
-    results: list[float] = []
-    a_lo = 2.5
-    step = 0.01
-    for k in range(1, k_max + 1):
-        p = 2 ** (k - 1)
-        # refresh the seeds from the attractor just above the previous
-        # doubling, where the period-p orbit is comfortably stable
-        att = logistic_attractor(a_lo, max_period=p)
-        if not isinstance(att, PeriodicOrbit) or att.period != p:
-            raise RuntimeError(f"no stable period-{p} orbit at a={a_lo}")
 
-        # march upward until the multiplier crosses -1, shrinking the step
-        # whenever Newton hops off the branch
-        a_prev, seeds_prev = a_lo, att.points
-        s = step
-        while True:
-            a_cur = min(a_prev + s, 4.0)
-            orb = orbit_for_period(a_cur, p, seeds_prev)
-            if orb is None:
-                s *= 0.5
-                if s < 1e-10:
-                    raise RuntimeError(f"lost the period-{p} branch near a={a_prev}")
-                continue
-            if orb.multiplier <= -1.0:
-                break
-            if a_cur >= 4.0:
-                raise RuntimeError(f"period-{p} multiplier never crossed -1")
-            a_prev, seeds_prev = a_cur, orb.points
-            s = step
+@lru_cache(maxsize=None)
+def _cascade(k: int) -> tuple[float, ...]:
+    """a_1, ..., a_k: the cached a_1, ..., a_(k-1) extended by a_k.
 
-        lo, hi = a_prev, a_cur
-        seeds = seeds_prev + orb.points
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            orb = orbit_for_period(mid, p, seeds)
-            if orb is None:
-                raise RuntimeError(f"lost the period-{p} branch near a={mid}")
-            seeds = orb.points
-            if orb.multiplier <= -1.0:
-                hi = mid
-            else:
-                lo = mid
-        a_k = 0.5 * (lo + hi)
-        results.append(a_k)
+    The search for a_k starts just above a_(k-1), with a step scaled to the
+    shrinking cascade geometry (the gap a_(k-1) - a_(k-2), 0.45 for k = 2)."""
+    if k == 1:
+        return (_doubling(1, 2.5, 0.01),)
+    prev = _cascade(k - 1)
+    gap = prev[-1] - prev[-2] if k > 2 else 0.45
+    a_lo, step = prev[-1] + max(gap / 25.0, 2e-4), max(gap / 25.0, 1e-5)
+    return prev + (_doubling(2 ** (k - 1), a_lo, step),)
 
-        # next sweep starts just above this doubling, with a step scaled
-        # to the shrinking cascade geometry
-        gap = (results[-1] - results[-2]) if len(results) >= 2 else 0.45
-        step = max(gap / 25.0, 1e-5)
-        a_lo = a_k + max(gap / 25.0, 2e-4)
-    return tuple(results)
+
+def _doubling(p: int, a_lo: float, step: float) -> float:
+    """Where the period-p multiplier crosses -1 above a_lo: march up by step
+    from the stable period-p attractor at a_lo, then bisect the crossing."""
+    att = logistic_attractor(a_lo, max_period=p)
+    if not isinstance(att, PeriodicOrbit) or att.period != p:
+        raise RuntimeError(f"no stable period-{p} orbit at a={a_lo}")
+    lo, seeds = a_lo, att.points
+    while True:
+        hi = min(lo + step, 4.0)
+        orb = _continued(hi, p, seeds)
+        if orb.multiplier <= -1.0:
+            break
+        if hi >= 4.0:
+            raise RuntimeError(f"period-{p} multiplier never crossed -1")
+        lo, seeds = hi, orb.points
+    seeds += orb.points
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        orb = _continued(mid, p, seeds)
+        seeds = orb.points
+        if orb.multiplier <= -1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _continued(a: float, p: int, seeds) -> PeriodicOrbit:
+    orb = orbit_for_period(a, p, seeds)
+    if orb is None:
+        raise RuntimeError(f"lost the period-{p} branch near a={a}")
+    return orb

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, _check_positive, as_point_array, frozen
+from .config import DEFAULT_TOL_EQ, _check_integer, _check_positive, as_point_array, frozen
 from .errors import EndpointMismatch, InsufficientResolution
 from .hausdorff import hausdorff_distance
 
@@ -52,6 +52,7 @@ class PathSegment:
 
     @classmethod
     def from_function(cls, fn: Callable[[float], Sequence[float]], m: int = 256) -> "PathSegment":
+        _check_integer(m, "m")
         ts = np.arange(m + 1) / m
         return cls(np.asarray([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts]))
 
@@ -307,6 +308,7 @@ def jet_match(
     m^order, so fine sampling fails first: a straight junction of x speed
     0.3 leaves 0.012 at order 5 for m = 256 and 0.0059 at order 4 for m = 1024.
     """
+    _check_integer(order, "order")
     if not 1 <= order <= MAX_JET_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_JET_ORDER}")
     incoming, outgoing = junction.incoming, junction.outgoing

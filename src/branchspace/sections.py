@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import Configuration, as_point_array, frozen
+from .config import Configuration, _check_integer, as_point_array, frozen
 from .errors import NonConstantCardinality, ParameterOutOfRange
 from .logistic import (
     DEFAULT_ORBIT_TOL,
@@ -31,7 +31,8 @@ GAP_RATIO = 2.0
 
 @dataclass(frozen=True, eq=False)
 class BranchedSectionSample:
-    """Sampled multivalued section: one fiber configuration per base point.
+    """Sampled multivalued section: one fiber per base point, a 1-D
+    Configuration (its points in R, stored sorted).
 
     A fiber of None marks a base point where no periodic attractor locked
     in (flagged, never fabricated); `parameters` optionally records the
@@ -50,8 +51,9 @@ class BranchedSectionSample:
         object.__setattr__(self, "fibers", tuple(self.fibers))
         if len(self.fibers) != pts.shape[0]:
             raise ValueError("one fiber per base point required")
-        if any(f is not None and len(f) == 0 for f in self.fibers):
-            raise ValueError("fibers must be nonempty (or None when flagged chaotic)")
+        for i, f in enumerate(self.fibers):
+            if f is not None and not (isinstance(f, Configuration) and f.dimension == 1 and len(f) > 0):
+                raise ValueError(f"the fiber at base point {i} is not a nonempty 1-D Configuration (or None)")
         if self.parameters is not None:
             par = frozen(np.ravel(self.parameters))
             if par.shape[0] != pts.shape[0]:
@@ -202,7 +204,7 @@ def decompose_or_witness(sample: BranchedSectionSample) -> Decomposition:
     if any(c != n for c in cards):
         raise NonConstantCardinality(f"cardinalities vary: {sorted(set(cards))}")
 
-    fibers = [np.sort(f.points[:, 0]) for f in sample.fibers]  # fibers live in R
+    fibers = [f.points[:, 0] for f in sample.fibers]
     count = len(fibers)
     sel = np.empty((n, count))
     sel[:, 0] = fibers[0]
@@ -256,6 +258,7 @@ def bifurcation_rows(
 ) -> list[tuple[float, float]]:
     """(parameter, orbit point) rows of the attractor sweep, for diagram
     plotting. Chaotic parameters contribute no rows."""
+    _check_integer(steps, "steps")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     rows: list[tuple[float, float]] = []

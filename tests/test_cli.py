@@ -259,6 +259,12 @@ def test_hausdorff_malformed_json_is_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_hausdorff_one_file_is_parse_error(capsys):
+    code, out, err = run(capsys, "hausdorff", "u.json")
+    assert (code, out) == (2, "")
+    assert err == "hausdorff: need two configuration files (or --bench N)\n"
+
+
 def test_hausdorff_bench(capsys):
     code, out, _ = run(capsys, "hausdorff", "--bench", "500", "--dim", "2")
     assert code == 0
@@ -473,6 +479,22 @@ def test_bifurcate_has_no_row_at_four(capsys):
     assert not any(line.startswith("4.0,") for line in out.splitlines())
 
 
+def test_bifurcate_json_rows(capsys):
+    argv = ["bifurcate", "--a-min", "2.5", "--a-max", "3.2", "--steps", "8", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row for row in rows if row[0] == 2.5] == [[2.5, pytest.approx(0.6, abs=1e-10)]]
+
+
+def test_section_reports_chaotic_grid_points(capsys):
+    # a = 3.5 has a 4-cycle; 3.625, 3.75, 3.875 and 4.0 lock in no period
+    code, out, err = run(capsys, "section", "--field", "3.5+0.5*x", "--grid-n", "5")
+    assert code == 0
+    assert [f is None for f in json.loads(out)["fibers"]] == [False, True, True, True, True]
+    assert err == "section: 4 grid points flagged chaotic\n"
+
+
 def test_section_linear_field(capsys):
     code, out, _ = run(capsys, "section", "--field", "2.5+1.0*x", "--grid-n", "21")
     assert code == 0
@@ -529,6 +551,23 @@ def test_measure_frame_directory(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_measure_frames_without_region_is_parse_error(capsys, tmp_path):
+    code, out, err = run(capsys, "measure", "--frames", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "measure: --frames needs --region FILE\n"
+
+
+def test_measure_empty_frame_directory_is_parse_error(capsys, tmp_path):
+    frames, region = make_translated_bump_path()
+    write_grid(GridFunction(region.astype(float), frames[0].spacing), tmp_path / "region.json")
+    (tmp_path / "frames").mkdir()
+    code, out, err = run(
+        capsys, "measure", "--frames", str(tmp_path / "frames"), "--region", str(tmp_path / "region.json")
+    )
+    assert (code, out) == (2, "")
+    assert err == "measure: no frame files found\n"
 
 
 @pytest.mark.parametrize("n_frames", [1, 2])

@@ -24,6 +24,7 @@ from branchspace import (
 )
 from branchspace.hausdorff import (
     _BLOCK_CELLS,
+    benchmark,
     events_to_json_lines,
     trajectory_from_dict,
     trajectory_to_dict,
@@ -429,6 +430,14 @@ def test_merge_tolerance_must_be_finite_and_positive(merge_tol):
     traj = two_particle_merge_trajectory(np.linspace(0.0, 1.0, 11))
     with pytest.raises(ValueError, match="merge_tol must be finite and positive"):
         detect_stratum_events(traj, merge_tol=merge_tol)
+
+
+@pytest.mark.parametrize("name", ["n", "dimension", "seed"])
+@pytest.mark.parametrize("bad", [True, 10.5])
+def test_benchmark_arguments_must_be_integers(name, bad):
+    kwargs = {"n": 10, "dimension": 2, "seed": 0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        benchmark(**kwargs)
 
 
 def test_non_monotone_time():

@@ -169,6 +169,18 @@ def test_parameter_validation():
         logistic_attractor(2.5, max_period=3)
 
 
+@pytest.mark.parametrize("max_period", [True, 64.0])
+def test_max_period_must_be_an_integer(max_period):
+    # True used to search period 1 only (Chaotic at a = 3.2), and 64.0 ended
+    # in a TypeError inside the orbit record
+    with pytest.raises(ValueError, match="max_period must be an integer"):
+        logistic_attractor(3.2, max_period=max_period)
+
+
+def test_a_numpy_integer_max_period_is_accepted():
+    assert logistic_attractor(3.2, max_period=np.int64(8)).period == 2
+
+
 @pytest.mark.parametrize("orbit_tol", [math.nan, -1.0, 0.0, math.inf])
 def test_orbit_tolerance_must_be_finite_and_positive(orbit_tol):
     # a NaN or negative tolerance used to reject every Newton root, so the
@@ -239,6 +251,31 @@ def test_k_max_validation():
         bifurcation_points(0)
     with pytest.raises(ValueError):
         bifurcation_points(7)
+
+
+@pytest.mark.parametrize("k_max", [True, 2.5])
+def test_k_max_must_be_an_integer(k_max):
+    # True used to return (a_1,)
+    with pytest.raises(ValueError, match="k_max must be an integer"):
+        bifurcation_points(k_max)
+
+
+def test_each_cascade_value_is_computed_once(monkeypatch):
+    # a_k extends the cached a_1, ..., a_(k-1): asking for k = 1, ..., 6 in
+    # turn seeds one attractor per doubling, not 1 + 2 + ... + 6 = 21
+    module = sys.modules["branchspace.logistic"]
+    seeds = []
+    real_attractor = module.logistic_attractor
+
+    def counted(a, *args, **kwargs):
+        seeds.append(a)
+        return real_attractor(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, "logistic_attractor", counted)
+    module._cascade.cache_clear()
+    prefixes = [bifurcation_points(k) for k in range(1, 7)]
+    assert len(seeds) == 6
+    assert all(prefixes[k - 1] == prefixes[-1][:k] for k in range(1, 7))
 
 
 # ---------------------------------------------------------------------------

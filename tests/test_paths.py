@@ -50,6 +50,13 @@ def test_segment_grid_and_endpoints():
     assert np.allclose(g.at(0.5), [0.5, 0.25], atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [True, 8.5])
+def test_segment_interval_count_must_be_an_integer(m):
+    # m = 8.5 used to sample t = k/8.5 up to 1.059, outside [0, 1]
+    with pytest.raises(ValueError, match="m must be an integer"):
+        PathSegment.from_function(lambda t: (t, 0.0), m)
+
+
 def test_segment_at_interpolates_between_samples():
     g = PathSegment([[float(k), float(k * k)] for k in range(9)])
     assert np.array_equal(g.at(0.0), g.alpha)
@@ -299,6 +306,14 @@ def test_jet_errors():
     tiny, _ = make_split_loop(m=8).junctions()
     with pytest.raises(InsufficientResolution):
         jet_match(tiny, FX, order=5)
+
+
+@pytest.mark.parametrize("order", [True, 2.5])
+def test_jet_order_must_be_an_integer(order):
+    # True used to compare order 1 only
+    left, _ = make_split_loop(m=256).junctions()
+    with pytest.raises(ValueError, match="order must be an integer"):
+        jet_match(left, FX, order=order)
 
 
 def test_jets_compare_one_boundary():

@@ -137,6 +137,33 @@ def test_a_sample_without_base_points_is_rejected():
         branched_equilibrium_section(lambda p: 3.2, np.empty((0, 1)))
 
 
+@pytest.mark.parametrize(
+    "fibers",
+    [
+        # a list fiber used to fail later, in decompose_or_witness
+        (fiber(0.0, 1.0), [0.0, 1.0]),
+        # 2-D fibers used to be threaded by their first coordinate only
+        (fiber(0.0, 1.0), Configuration([[0.0, 1.0], [1.0, 0.0]])),
+        (fiber(0.0, 1.0), fiber()),
+    ],
+)
+def test_a_fiber_that_is_not_a_nonempty_1d_configuration_is_named(fibers):
+    with pytest.raises(ValueError, match="fiber at base point 1 is not a nonempty 1-D Configuration"):
+        BranchedSectionSample(np.arange(2.0).reshape(-1, 1), fibers)
+
+
+@pytest.mark.parametrize("steps", [True, 2.5])
+def test_sweep_steps_must_be_an_integer(steps):
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        bifurcation_rows(2.5, 3.0, steps)
+
+
+@pytest.mark.parametrize("max_period", [True, 64.0])
+def test_section_max_period_must_be_an_integer(max_period):
+    with pytest.raises(ValueError, match="max_period must be an integer"):
+        branched_equilibrium_section(lambda p: 3.2, line_grid(3), max_period=max_period)
+
+
 @pytest.mark.parametrize("orbit_tol", [math.nan, -1.0, 0.0, math.inf])
 def test_sweeps_reject_a_bad_orbit_tolerance(orbit_tol):
     with pytest.raises(ValueError, match="orbit_tol must be finite and positive"):
@@ -165,6 +192,17 @@ def test_crossing_branches_yield_witness():
     assert not dec.decomposable
     assert dec.witness.edge == 1  # 0.2 -> {0.45, 0.55} is a 0.25 vs 0.35 call
     assert "gap ratio" in dec.witness.reason or "claim" in dec.witness.reason
+
+
+def test_two_selections_claiming_one_point_yield_witness():
+    # both selections continue nearest to 0.05 with a clear gap, so the
+    # second claims the point the first has taken
+    sample = BranchedSectionSample(np.arange(2.0).reshape(-1, 1), (fiber(0.0, 0.1), fiber(0.05, 10.0)))
+    dec = decompose_or_witness(sample)
+    assert not dec.decomposable
+    witness = dec.witness
+    assert (witness.edge, witness.selection, witness.reason) == (0, 1, "two selections claim one fiber point")
+    assert witness.best == pytest.approx(0.05) and math.isnan(witness.second)
 
 
 def test_nonconstant_cardinality_rejected():
