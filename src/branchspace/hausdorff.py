@@ -241,8 +241,10 @@ def two_particle_merge_trajectory(times: Sequence[float] | None = None) -> list[
 def benchmark(n: int, dimension: int = 2, seed: int = 0) -> dict:
     """Time brute-force vs indexed Hausdorff distance on two uniform
     clouds of n points; reports agreement and speedup."""
-    for value, name in ((n, "n"), (dimension, "dimension"), (seed, "seed")):
+    for value, name, low in ((n, "n", 1), (dimension, "dimension", 1), (seed, "seed", 0)):
         _check_integer(value, name)
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     rng = np.random.default_rng(seed)
     side = float(n) ** (1.0 / dimension)
     u = rng.uniform(0.0, side, size=(n, dimension))

@@ -213,23 +213,6 @@ def _polish_orbit(a: float, p: int, seed: float, orbit_tol: float) -> PeriodicOr
     return next((orbit for orbit in orbits if orbit.stable), None)
 
 
-def orbit_for_period(a: float, p: int, seeds) -> PeriodicOrbit | None:
-    """Continue a known period-p orbit to parameter a from seed points.
-
-    Unlike logistic_attractor this works on unstable orbits too (Newton
-    does not care about stability), which is what the bifurcation-point
-    bisection needs on the far side of each cascade value. Seeds are tried
-    in order until one polishes to a genuinely period-p root; None means
-    every seed drifted off the branch onto a lower-period orbit.
-    """
-    a = _validate_parameter(a)
-    for seed in seeds:
-        pts = _newton_polish(a, p, float(seed), DEFAULT_ORBIT_TOL)
-        if pts is not None and _primitive_period(pts, 1e-7) == p:
-            return _orbit(a, pts)
-    return None
-
-
 def bifurcation_points(k_max: int) -> tuple[float, ...]:
     """The first k_max period-doubling parameters of the cascade.
 
@@ -286,7 +269,11 @@ def _doubling(p: int, a_lo: float, step: float) -> float:
 
 
 def _continued(a: float, p: int, seeds) -> PeriodicOrbit:
-    orb = orbit_for_period(a, p, seeds)
-    if orb is None:
-        raise RuntimeError(f"lost the period-{p} branch near a={a}")
-    return orb
+    """The period-p orbit at a, by Newton from the first seed that polishes
+    to a genuinely period-p root. Unlike logistic_attractor it reaches
+    unstable orbits too, as the bisection needs beyond each cascade value."""
+    for seed in seeds:
+        pts = _newton_polish(a, p, float(seed), DEFAULT_ORBIT_TOL)
+        if pts is not None and _primitive_period(pts, 1e-7) == p:
+            return _orbit(a, pts)
+    raise RuntimeError(f"lost the period-{p} branch near a={a}")

@@ -53,6 +53,8 @@ class PathSegment:
     @classmethod
     def from_function(cls, fn: Callable[[float], Sequence[float]], m: int = 256) -> "PathSegment":
         _check_integer(m, "m")
+        if m < MIN_INTERVALS:
+            raise ValueError(f"m must be at least {MIN_INTERVALS}, got {m}")
         ts = np.arange(m + 1) / m
         return cls(np.asarray([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts]))
 

@@ -194,46 +194,39 @@ def decompose_or_witness(sample: BranchedSectionSample) -> Decomposition:
 
     A step is unambiguous when the second-best candidate is at least
     GAP_RATIO times further than the best and no two selections claim the
-    same fiber point. The first ambiguous step is returned as a witness
-    (branching or monodromy at sampling resolution).
+    same fiber point. In one dimension nearest continuation never crosses
+    (s < s' with unique nearest points t, t' gives t <= t'), so unambiguous
+    steps match consecutive fibers rank by rank, every grid edge in one
+    array of distances, and the selections are the sorted fibers. The
+    first ambiguous step is returned as a witness (branching or monodromy
+    at sampling resolution).
     """
     cards = sample.cardinalities()
     if any(c is None for c in cards):
         raise NonConstantCardinality("chaotic fibers present; restrict to a periodic run first")
-    n = cards[0]
-    if any(c != n for c in cards):
+    if any(c != cards[0] for c in cards):
         raise NonConstantCardinality(f"cardinalities vary: {sorted(set(cards))}")
 
-    fibers = [f.points[:, 0] for f in sample.fibers]
-    count = len(fibers)
-    sel = np.empty((n, count))
-    sel[:, 0] = fibers[0]
-    for j in range(count - 1):
-        nxt = fibers[j + 1]
-        taken = np.zeros(n, dtype=bool)
-        for k in range(n):
-            d = np.abs(nxt - sel[k, j])
-            order = np.argsort(d, kind="stable")
-            best = int(order[0])
-            if n >= 2:
-                d1, d2 = float(d[order[0]]), float(d[order[1]])
-                if d1 > 0.0 and d2 < GAP_RATIO * d1:
-                    return Decomposition(
-                        None,
-                        ThreadingWitness(
-                            j, k, d1, d2, "second-best continuation below the gap ratio"
-                        ),
-                    )
-            if taken[best]:
-                return Decomposition(
-                    None,
-                    ThreadingWitness(
-                        j, k, float(d[best]), float("nan"), "two selections claim one fiber point"
-                    ),
-                )
-            taken[best] = True
-            sel[k, j + 1] = nxt[best]
-    return Decomposition(sel, None)
+    ranks = np.hstack([f.points for f in sample.fibers])  # ranks[k, j]: rank k at point j
+    # dist[j, k, i] = |ranks[i, j + 1] - ranks[k, j]|, every grid edge at once
+    dist = np.abs(ranks.T[1:, None, :] - ranks.T[:-1, :, None])
+    near = dist.argmin(axis=2)
+    # best and second-best distances; the inf column is a one-point fiber's missing second
+    d = np.partition(np.pad(dist, ((0, 0), (0, 0), (0, 1)), constant_values=np.inf), 1, axis=2)
+    gap = (d[..., 0] > 0.0) & (d[..., 1] < GAP_RATIO * d[..., 0])
+    # the nearest map is monotone on the ranks that passed, so a claimed
+    # point is the previous rank's
+    claim = np.zeros_like(gap)
+    claim[:, 1:] = near[:, 1:] == near[:, :-1]
+    flagged = np.argwhere(gap | claim)
+    if flagged.size:
+        j, k = (int(i) for i in flagged[0])
+        if gap[j, k]:
+            reason, second = "second-best continuation below the gap ratio", float(d[j, k, 1])
+        else:
+            reason, second = "two selections claim one fiber point", float("nan")
+        return Decomposition(None, ThreadingWitness(j, k, float(d[j, k, 0]), second, reason))
+    return Decomposition(ranks, None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.errors import InvalidArgument
 
-from branchspace import BranchedPath, Configuration, PathSegment
+from branchspace import BranchedPath, Configuration, NonConstantCardinality, PathSegment
+from branchspace.sections import GAP_RATIO, Decomposition, ThreadingWitness
 
 # `--hypothesis-profile=ci` (the CI tier-1 step): a failing property prints
 # its @reproduce_failure blob. Where Hypothesis has a "ci" profile of its
@@ -74,3 +75,47 @@ def dyadic_split_loop(m=256):
         [PathSegment.from_function(lambda t, s=s: (2.0 * t - 1.0, s * (1.0 - (2.0 * t - 1.0) ** 2)), m) for s in (1.0, -1.0)],
         [PathSegment.from_function(lambda t: (t + 1.0, 0.0), m)],
     ])
+
+
+def decompose_oracle(sample):
+    """Nearest-continuation threading one selection at a time, with a full
+    sort of the next fiber per selection: the oracle of
+    `sections.decompose_or_witness`, which matches consecutive fibers rank
+    by rank."""
+    cards = sample.cardinalities()
+    if any(c is None for c in cards):
+        raise NonConstantCardinality("chaotic fibers present; restrict to a periodic run first")
+    n = cards[0]
+    if any(c != n for c in cards):
+        raise NonConstantCardinality(f"cardinalities vary: {sorted(set(cards))}")
+
+    fibers = [f.points[:, 0] for f in sample.fibers]
+    count = len(fibers)
+    sel = np.empty((n, count))
+    sel[:, 0] = fibers[0]
+    for j in range(count - 1):
+        nxt = fibers[j + 1]
+        taken = np.zeros(n, dtype=bool)
+        for k in range(n):
+            d = np.abs(nxt - sel[k, j])
+            order = np.argsort(d, kind="stable")
+            best = int(order[0])
+            if n >= 2:
+                d1, d2 = float(d[order[0]]), float(d[order[1]])
+                if d1 > 0.0 and d2 < GAP_RATIO * d1:
+                    return Decomposition(
+                        None,
+                        ThreadingWitness(
+                            j, k, d1, d2, "second-best continuation below the gap ratio"
+                        ),
+                    )
+            if taken[best]:
+                return Decomposition(
+                    None,
+                    ThreadingWitness(
+                        j, k, float(d[best]), float("nan"), "two selections claim one fiber point"
+                    ),
+                )
+            taken[best] = True
+            sel[k, j + 1] = nxt[best]
+    return Decomposition(sel, None)

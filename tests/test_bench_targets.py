@@ -1,14 +1,19 @@
 """The benchmark tracer (bench/spans.py) patches library functions by
-module and attribute name; each of its targets must still resolve, or the
-traced benchmark runs break without a failing library test."""
+module and attribute name, and the workloads (bench/*.py) call package
+attributes through the package bound as `bs`; each of these names must
+still resolve, or the benchmark runs break without a failing library test."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+import branchspace
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def tracer_targets():
@@ -28,3 +33,24 @@ def test_tracer_target_resolves(module, attr):
         assert callable(getattr(owner, cls_name).__dict__[meth])
     else:
         assert callable(getattr(owner, attr))
+
+
+def package_chains():
+    """Every attribute chain `bs.<name>[.<name>...]` in the code of bench/*.py."""
+    chains = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                node = node.value
+            if names and isinstance(node, ast.Name) and node.id == "bs":
+                chains.add(".".join(reversed(names)))
+    return sorted(chains)
+
+
+@pytest.mark.parametrize("chain", package_chains())
+def test_benchmark_package_attribute_resolves(chain):
+    owner = branchspace
+    for name in chain.split("."):
+        owner = getattr(owner, name)

@@ -313,6 +313,17 @@ def test_apply_rejects_wrong_length():
         chart_apply(chart, np.zeros((2, 1)))
 
 
+def test_a_chart_needs_one_radius_per_base_point():
+    with pytest.raises(LengthMismatch, match="one radius per base point"):
+        Chart(three_points(), [0.1, 0.1])
+
+
+def test_invert_rejects_wrong_length():
+    chart = build_chart(three_points())
+    with pytest.raises(LengthMismatch, match="expected 3 points, got 2"):
+        chart_invert(chart, np.array([[0.0], [1.0]]))
+
+
 def test_invert_base_gives_zero():
     chart = build_chart(three_points())
     z = chart_invert(chart, chart.base)

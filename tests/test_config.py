@@ -25,7 +25,7 @@ from branchspace import (
     validate,
 )
 from branchspace.charts import Chart, build_chart, chart_invert, separations
-from branchspace.config import read_json, write_json
+from branchspace.config import as_point_array, read_json, write_json
 from branchspace.hausdorff import (
     GridIndex,
     StratumEvent,
@@ -363,6 +363,23 @@ def test_nonfinite_points_rejected(cls):
     for bad in ([[np.nan]], [[np.inf, 0.0]], np.zeros((2, 0))):
         with pytest.raises(ValueError):
             cls(bad)
+
+
+@pytest.mark.parametrize(
+    "points, dim, message",
+    [
+        (np.zeros((2, 2, 1)), None, r"expected an \(n, d\) array of points, got shape \(2, 2, 1\)"),
+        ([[0.0, 1.0]], 3, "expected dimension 3, got 2"),
+    ],
+)
+def test_point_arrays_of_the_wrong_shape_are_named(points, dim, message):
+    with pytest.raises(ValueError, match=message):
+        as_point_array(points, dim)
+
+
+def test_a_permutation_must_be_one():
+    with pytest.raises(ValueError, match="sigma is not a permutation of the index range"):
+        OrderedConfiguration([[0.0], [1.0]]).permuted([0, 0])
 
 
 # array-holding result types, each built fresh by a call

@@ -364,6 +364,26 @@ def test_index_mismatch():
         hausdorff_distance_indexed(u, v, idx_u=idx_wrong, idx_v=GridIndex(v))
 
 
+def test_a_wrong_second_index_is_rejected():
+    u = Configuration([[0.0], [1.0]])
+    v = Configuration([[5.0], [6.0]])
+    with pytest.raises(IndexMismatch, match="idx_v does not cover v"):
+        hausdorff_distance_indexed(u, v, idx_u=GridIndex(u), idx_v=GridIndex(u))
+
+
+def test_an_index_of_no_points_is_rejected():
+    with pytest.raises(EmptyConfiguration, match="cannot index an empty configuration"):
+        GridIndex(np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("empty_side", [0, 1])
+def test_indexed_distance_rejects_an_empty_side(empty_side):
+    pair = [[[0.0, 0.0]], [[1.0, 0.0]]]
+    pair[empty_side] = np.empty((0, 2))
+    with pytest.raises(EmptyConfiguration, match="needs nonempty configurations"):
+        hausdorff_distance_indexed(*pair)
+
+
 # ---------------------------------------------------------------------------
 # stratum events
 # ---------------------------------------------------------------------------
@@ -440,6 +460,15 @@ def test_benchmark_arguments_must_be_integers(name, bad):
         benchmark(**kwargs)
 
 
+@pytest.mark.parametrize("name, bad, low", [("n", -1, 1), ("n", 0, 1), ("dimension", 0, 1), ("seed", -1, 0)])
+def test_benchmark_arguments_must_lie_in_range(name, bad, low):
+    # dimension=0 used to raise ZeroDivisionError, n=-1 a TypeError about a
+    # complex number and seed=-1 numpy's message, which names no argument
+    kwargs = {"n": 10, "dimension": 2, "seed": 0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be at least {low}, got {bad}"):
+        benchmark(**kwargs)
+
+
 def test_non_monotone_time():
     u = Configuration([[0.0]])
     with pytest.raises(NonMonotoneTime):
@@ -477,3 +506,10 @@ def test_trajectory_json_roundtrip_and_event_lines():
     assert len(lines) == 1
     rec = json.loads(lines[0])
     assert rec == {"t": 1.0, "kind": "merge", "from": 2, "to": 1, "at": [0.0]}
+
+
+def test_a_trajectory_with_more_times_than_frames_is_rejected():
+    obj = trajectory_to_dict(two_particle_merge_trajectory([0.0, 0.5]))
+    obj["times"].append(1.0)
+    with pytest.raises(ValueError, match="times and frames must have equal length"):
+        trajectory_from_dict(obj)

@@ -18,9 +18,9 @@ from branchspace.logistic import (
     DEFAULT_ORBIT_TOL,
     MAX_BURN_IN,
     _DETECT_TOL,
+    _continued,
     _polish_orbit,
     logistic,
-    orbit_for_period,
 )
 
 
@@ -190,7 +190,7 @@ def test_orbit_tolerance_must_be_finite_and_positive(orbit_tol):
 
 
 def test_a_continued_orbit_starts_at_its_smallest_point():
-    orbit = orbit_for_period(3.5, 4, logistic_attractor(3.5).points[::-1])
+    orbit = _continued(3.5, 4, logistic_attractor(3.5).points[::-1])
     assert orbit.period == 4
     assert orbit.points[0] == min(orbit.points)
 

@@ -238,6 +238,17 @@ def test_path_grid_mismatch():
         validate_constant_volume_path([f, g], region)
 
 
+def test_a_path_needs_a_frame():
+    with pytest.raises(ValueError, match="path must contain at least one frame"):
+        validate_constant_volume_path([], np.zeros((8, 8), dtype=bool))
+
+
+def test_path_region_of_another_shape_is_rejected():
+    f = bump((8, 8), (slice(3, 5), slice(3, 5)))
+    with pytest.raises(GridMismatch, match="region mask shape differs from the frames"):
+        validate_constant_volume_path([f, f], np.zeros((8, 9), dtype=bool))
+
+
 # ---------------------------------------------------------------------------
 # refinement diagnostic
 # ---------------------------------------------------------------------------
@@ -298,6 +309,11 @@ def test_spacing_must_be_finite_and_positive(spacing):
 def test_origin_must_be_finite(origin):
     with pytest.raises(ValueError, match="origin must be finite"):
         GridFunction(np.zeros((3, 3)), 0.1, origin)
+
+
+def test_grid_values_need_an_axis():
+    with pytest.raises(ValueError, match="grid values must have at least one axis"):
+        GridFunction(np.array(1.0), 0.1)
 
 
 def test_a_malformed_grid_file_is_named(tmp_path):

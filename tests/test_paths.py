@@ -57,6 +57,13 @@ def test_segment_interval_count_must_be_an_integer(m):
         PathSegment.from_function(lambda t: (t, 0.0), m)
 
 
+@pytest.mark.parametrize("m", [0, 7])
+def test_segment_interval_count_must_be_at_least_min_intervals(m):
+    # m = 0 used to divide by zero and then report non-finite coordinates
+    with pytest.raises(ValueError, match=f"m must be at least 8, got {m}"):
+        PathSegment.from_function(lambda t: (t, 0.0), m)
+
+
 def test_segment_at_interpolates_between_samples():
     g = PathSegment([[float(k), float(k * k)] for k in range(9)])
     assert np.array_equal(g.at(0.0), g.alpha)
@@ -169,6 +176,12 @@ def test_incompatible_duplicate_segments_rejected():
 )
 def test_mixed_dimensions_are_named(stages, message):
     with pytest.raises(ValueError, match=message):
+        BranchedPath(stages)
+
+
+@pytest.mark.parametrize("stages", [[], [[]]])
+def test_a_branched_path_needs_a_nonempty_stage(stages):
+    with pytest.raises(ValueError, match="a branched path needs at least one nonempty stage"):
         BranchedPath(stages)
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from branchspace import (
     BranchedSectionSample,
@@ -14,6 +16,7 @@ from branchspace import (
 )
 from branchspace.logistic import bifurcation_points
 from branchspace.sections import _doubling_parameter, bifurcation_rows, section_to_dict
+from conftest import decompose_oracle
 
 
 def line_grid(n=101, lo=0.0, hi=1.0):
@@ -137,6 +140,14 @@ def test_a_sample_without_base_points_is_rejected():
         branched_equilibrium_section(lambda p: 3.2, np.empty((0, 1)))
 
 
+def test_a_sample_needs_one_fiber_and_one_parameter_per_base_point():
+    base = np.arange(3.0).reshape(-1, 1)
+    with pytest.raises(ValueError, match="one fiber per base point required"):
+        BranchedSectionSample(base, (fiber(0.5), fiber(0.5)))
+    with pytest.raises(ValueError, match="one parameter per base point required"):
+        BranchedSectionSample(base, (fiber(0.5),) * 3, [2.5, 2.5])
+
+
 @pytest.mark.parametrize(
     "fibers",
     [
@@ -156,6 +167,11 @@ def test_a_fiber_that_is_not_a_nonempty_1d_configuration_is_named(fibers):
 def test_sweep_steps_must_be_an_integer(steps):
     with pytest.raises(ValueError, match="steps must be an integer"):
         bifurcation_rows(2.5, 3.0, steps)
+
+
+def test_a_sweep_needs_two_steps():
+    with pytest.raises(ValueError, match="steps must be at least 2"):
+        bifurcation_rows(3.0, 3.5, 1)
 
 
 @pytest.mark.parametrize("max_period", [True, 64.0])
@@ -203,6 +219,57 @@ def test_two_selections_claiming_one_point_yield_witness():
     witness = dec.witness
     assert (witness.edge, witness.selection, witness.reason) == (0, 1, "two selections claim one fiber point")
     assert witness.best == pytest.approx(0.05) and math.isnan(witness.second)
+
+
+def assert_same_decomposition(dec, oracle):
+    assert (dec.selections is None) == (oracle.selections is None)
+    if oracle.selections is not None:
+        assert dec.selections.shape == oracle.selections.shape
+        assert np.array_equal(dec.selections, oracle.selections)
+        return
+    got, want = dec.witness, oracle.witness
+    assert (got.edge, got.selection, got.reason, got.best) == (want.edge, want.selection, want.reason, want.best)
+    assert got.second == want.second or (math.isnan(got.second) and math.isnan(want.second))
+
+
+@st.composite
+def constant_cardinality_sections(draw):
+    """Fibers of 1-9 points over 2-8 base points. Each fiber is drawn
+    afresh or jittered from the previous one, so both decompositions and
+    witnesses occur; on the dyadic lattice distances tie exactly."""
+    n, count, dyadic = draw(st.integers(1, 9)), draw(st.integers(2, 8)), draw(st.booleans())
+    if dyadic:
+        start, gap, jitter = (st.integers(lo, hi).map(lambda k: k / 32) for lo, hi in ((-64, 64), (1, 32), (-3, 3)))
+    else:
+        start, gap, jitter = st.floats(-2.0, 2.0), st.floats(1e-3, 1.0), st.floats(-0.1, 0.1)
+    fibers = []
+    for _ in range(count):
+        if fibers and draw(st.booleans()):
+            values = fibers[-1] + np.array(draw(st.lists(jitter, min_size=n, max_size=n)))
+        else:
+            values = draw(start) + np.cumsum(draw(st.lists(gap, min_size=n, max_size=n)))
+        values = np.sort(values)
+        assume(n == 1 or np.min(np.diff(values)) > 1e-6)
+        fibers.append(values)
+    return BranchedSectionSample(np.arange(float(count)).reshape(-1, 1), tuple(fiber(*f) for f in fibers))
+
+
+@settings(max_examples=500, deadline=None)
+@given(constant_cardinality_sections())
+def test_rank_matching_equals_the_threading_loop(sample):
+    assert_same_decomposition(decompose_or_witness(sample), decompose_oracle(sample))
+
+
+@pytest.mark.parametrize("lo, hi", [(3.05, 3.40), (3.45, 3.54)])
+@pytest.mark.parametrize("n", [21, 61, 201])
+def test_rank_matching_equals_the_threading_loop_on_equilibrium_sections(lo, hi, n):
+    sample, _ = branched_equilibrium_section(lambda p: lo + (hi - lo) * float(p[0]), line_grid(n))
+    cards = sample.cardinalities()
+    starts = [0] + [i for i in range(1, n) if cards[i] != cards[i - 1]]
+    for start, stop in zip(starts, starts[1:] + [n]):
+        if cards[start] is not None:
+            run = sample.restrict(range(start, stop))
+            assert_same_decomposition(decompose_or_witness(run), decompose_oracle(run))
 
 
 def test_nonconstant_cardinality_rejected():
