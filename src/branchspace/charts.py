@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, PointTuple, _check_positive, as_point_array, frozen, separations
+from .config import DEFAULT_TOL_EQ, PointTuple, _check_positive, _points_from_dict, as_point_array, frozen, separations
 from .errors import (
     DuplicatePoints,
     LengthMismatch,
@@ -206,4 +206,4 @@ def chart_to_dict(c: Chart) -> dict:
 
 
 def chart_from_dict(obj: dict) -> Chart:
-    return Chart(as_point_array(obj["base"]["points"], dim=int(obj["base"]["dim"])), obj["radii"])
+    return Chart(_points_from_dict(obj["base"]), obj["radii"])

@@ -441,7 +441,7 @@ def main(argv=None) -> int:
     except OSError as err:
         sys.stderr.write(f"{args.command}: i/o error: {err}\n")
         return IO_ERROR
-    except (json.JSONDecodeError, BranchSpaceError, ValueError, KeyError) as err:
+    except (BranchSpaceError, ValueError, KeyError) as err:
         sys.stderr.write(f"{args.command}: invalid input: {err}\n")
         return PARSE_ERROR
 

@@ -284,10 +284,15 @@ def configuration_to_dict(u: Configuration) -> dict:
     return {"dim": u.dimension, "points": u.points.tolist()}
 
 
+def _points_from_dict(obj: dict) -> np.ndarray:
+    """The points of {"dim": d, "points": [[...], ...]}, d an integer."""
+    _check_integer(obj["dim"], "dim")
+    return as_point_array(obj["points"], dim=obj["dim"])
+
+
 def configuration_from_dict(obj: dict, tol_eq: float = DEFAULT_TOL_EQ) -> Configuration:
     """Accepts points in any order; canonicalizes on load."""
-    pts = as_point_array(obj["points"], dim=int(obj["dim"]))
-    return Configuration(pts, tol_eq=tol_eq)
+    return Configuration(_points_from_dict(obj), tol_eq=tol_eq)
 
 
 def read_json(path):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage  # erosion, dilation and label default to face adjacency
 
-from .config import _check_positive, frozen, read_json, write_json
+from .config import _check_integer, _check_positive, frozen, read_json, write_json
 from .errors import GridMismatch, SupportTouchesBoundary
 
 DEFAULT_TOL_SUPP = 1e-12
@@ -267,7 +267,11 @@ def grid_to_dict(f: GridFunction) -> dict:
 
 
 def grid_from_dict(obj: dict) -> GridFunction:
-    shape = tuple(int(s) for s in obj["dims"])
+    shape = tuple(obj["dims"])
+    for s in shape:
+        _check_integer(s, "dims")
+        if s < 1:
+            raise ValueError(f"dims must be at least 1, got {s}")
     return GridFunction(np.reshape(obj["values"], shape), float(obj["h"]), obj["origin"])
 
 

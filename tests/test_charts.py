@@ -313,6 +313,13 @@ def test_apply_rejects_wrong_length():
         chart_apply(chart, np.zeros((2, 1)))
 
 
+def test_apply_rejects_an_image_that_rounds_to_coincident_points():
+    # radii 2 at spacing 2 ulp: both images round to 1e16 + 2
+    chart = build_chart(LocallyFiniteConfiguration([[1e16], [1e16 + 4]]))
+    with pytest.raises(DuplicatePoints, match="chart image degenerated to coincident points"):
+        chart_apply(chart, [[1 - 2**-53], [-(1 - 2**-53)]])
+
+
 def test_a_chart_needs_one_radius_per_base_point():
     with pytest.raises(LengthMismatch, match="one radius per base point"):
         Chart(three_points(), [0.1, 0.1])

@@ -333,6 +333,16 @@ GOOD_GRID = {"dims": [3], "h": 0.1, "origin": [0.0], "values": [0.0, 1.0, 0.0]}
 SEGMENT_1D = {"samples": [[k / 8, [1.0 + k / 8]] for k in range(9)]}
 SEGMENT_2D = {"samples": [[k / 8, [k / 8, 0.0]] for k in range(9)]}
 
+GRID_2 = dict(GOOD_GRID, origin=[0.0, 0.0], values=[0.0, 1.0])
+# a dim or dims that is not a positive integer, named in the message; each
+# of these used to be truncated or inferred
+BAD_DIM = [
+    *[(argv, {"dim": dim, "points": [[0.0], [1.0]]})
+      for argv in (["hausdorff", "{bad}", "{bad}"], ["chart", "--input", "{bad}"]) for dim in (1.9, True)],
+    *[(["measure", "--frames", "{frames}", "--region", "{bad}"], dict(GRID_2, dims=dims))
+      for dims in ([2.9, 1.5], [-1, 2], [-2, -1])],
+]
+
 
 @pytest.mark.parametrize(
     "argv, content",
@@ -350,6 +360,7 @@ SEGMENT_2D = {"samples": [[k / 8, [k / 8, 0.0]] for k in range(9)]}
         (["branched-path", "--input", "{bad}"], {"stages": [[SEGMENT_1D], [SEGMENT_2D]]}),
         (["measure", "--frames", "{dir}", "--region", "{good}"], dict(GOOD_GRID, dims=3)),
         (["measure", "--frames", "{frames}", "--region", "{bad}"], dict(GOOD_GRID, dims=3)),
+        *BAD_DIM,
     ],
 )
 def test_a_wrong_shaped_input_file_exits_2_naming_it(capsys, tmp_path, argv, content):
@@ -362,6 +373,8 @@ def test_a_wrong_shaped_input_file_exits_2_naming_it(capsys, tmp_path, argv, con
     code, out, err = run(capsys, *[arg.format(dir=tmp_path, **files) for arg in argv])
     assert code == 2 and out == ""
     assert f"invalid input: {files['bad']}: " in err
+    if (argv, content) in BAD_DIM:
+        assert f"{files['bad']}: {'dims' if 'dims' in content else 'dim'} must be" in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from branchspace import (
@@ -23,7 +24,6 @@ from branchspace import (
     two_particle_merge_trajectory,
 )
 from branchspace.hausdorff import (
-    _BLOCK_CELLS,
     benchmark,
     events_to_json_lines,
     trajectory_from_dict,
@@ -56,6 +56,14 @@ def test_dist_to_set_membership():
 def test_dist_to_set_linear_scan_oracle():
     v = Configuration([[3.0, 4.0], [1.0, 1.0]])
     assert dist_to_set([0.0, 0.0], v) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "x, message", [([], "a point needs at least one coordinate"), ([math.nan], "point coordinates must be finite")]
+)
+def test_dist_to_set_rejects_a_point_that_is_not_one(x, message):
+    with pytest.raises(ValueError, match=message):
+        dist_to_set(x, Configuration([[1.0]]))
 
 
 def test_dist_to_set_empty():
@@ -133,7 +141,7 @@ def test_empty_rejected():
 # ---------------------------------------------------------------------------
 
 def assert_nearest_is_scan(idx, pts, q):
-    d, i = idx.nearest(q)
+    d, i = idx.query(q)
     scan = np.sqrt(np.sum((pts - q) ** 2, axis=1))
     assert d == float(np.min(scan))
     assert d == float(scan[i])
@@ -154,13 +162,13 @@ def test_index_nearest_matches_linear_scan(rng):
         idx = GridIndex(pts)
         for q in (-1.0, 0.0, 2e-13, 4e11, 9e11, 1e12, 3e12):
             assert_nearest_is_scan(idx, pts, np.array([q]))
-    assert idx.nearest([2e-13]) == (1e-13, 1)
-    assert idx.nearest([9e11]) == (1e11, 2)
+    assert idx.query([2e-13]) == (1e-13, 1)
+    assert idx.query([9e11]) == (1e11, 2)
 
 
 def test_index_far_query():
     u = Configuration([[0.0, 0.0], [1.0, 0.0]])
-    d, i = GridIndex(u).nearest([500.0, 500.0])
+    d, i = GridIndex(u).query([500.0, 500.0])
     assert d == pytest.approx(math.dist([500.0, 500.0], [1.0, 0.0]), abs=1e-12)
     assert i == 1
 
@@ -189,10 +197,11 @@ COORDINATES = st.builds(
 
 
 @st.composite
-def point_set_pairs(draw):
-    """Two raw point arrays of one dimension (1..3): free, collinear, or
-    the second made of near-duplicates (within tol_eq) of the first."""
-    dim = draw(st.integers(1, 3))
+def point_set_pairs(draw, dims=st.integers(1, 3)):
+    """Two raw point arrays of one dimension drawn from dims: free,
+    collinear, or the second made of near-duplicates (within tol_eq) of
+    the first."""
+    dim = draw(dims)
     point = st.lists(COORDINATES, min_size=dim, max_size=dim)
     kind = draw(st.sampled_from(["free", "collinear", "near-duplicates"]))
     if kind == "collinear":
@@ -222,9 +231,9 @@ def test_indexed_equals_scan_property(pair):
 
 
 def two_pass_directed(a: np.ndarray, b: np.ndarray) -> float:
-    """max over a of the distance to b by a blocked scan of its own: one
-    direction of the two-pass reference that the one-pass scan must equal
-    bit for bit."""
+    """max over a of the distance to b by a blocked cdist scan of its own:
+    one direction of the two-pass reference that scipy's early-break scan
+    must equal bit for bit."""
     worst = 0.0
     for lo in range(0, a.shape[0], 256):
         d2 = cdist(a[lo : lo + 256], b, "sqeuclidean")
@@ -244,7 +253,7 @@ def two_pass_events(traj, merge_tol: float) -> list:
     return out
 
 
-def assert_one_pass_is_two_pass(a: np.ndarray, b: np.ndarray) -> None:
+def assert_early_break_is_two_pass(a: np.ndarray, b: np.ndarray) -> None:
     d_ab, d_ba = two_pass_directed(a, b), two_pass_directed(b, a)
     assert hausdorff_distance(a, b) == max(d_ab, d_ba)
     assert hausdorff_distance(b, a) == max(d_ba, d_ab)
@@ -266,27 +275,26 @@ def assert_one_pass_is_two_pass(a: np.ndarray, b: np.ndarray) -> None:
     assert got == two_pass_events(traj, merge_tol)
 
 
-@given(point_set_pairs())
+SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+
+# scipy's scan must sum squares in cdist's order at every d; the kd-tree does not from d = 8
+@given(point_set_pairs(st.sampled_from([1, 2, 3, 8, 17, 64])))
 @example((np.array([[0.0], [2.0]]), np.array([[1.0]])))  # an exact tie
 @example((np.array([[-1.0], [1.0], [3.0]]), np.array([[0.0], [2.0]])))  # an attribution tie
+# no row of a set against itself or its subset ever breaks early
+@example((SQUARE, SQUARE))
+@example((SQUARE, SQUARE[1:3]))
+@example((np.array([[0.5, -2.0, 1e9]]), np.array([[0.0, 0.0, 0.0], [3.0, 0.0, -1.0]])))  # a one-point set
 @settings(deadline=None, max_examples=300)
-def test_one_pass_scan_equals_two_pass_property(pair):
-    assert_one_pass_is_two_pass(*pair)
+def test_early_break_scan_equals_two_pass_property(pair):
+    assert_early_break_is_two_pass(*pair)
 
 
-def test_one_pass_scan_equals_two_pass_across_blocks(rng):
-    # a block holds max(1, _BLOCK_CELLS // m) of the n rows scanned against
-    # m columns; every shape crosses a block edge in at least one direction,
-    # and the last scans one row per block
-    r = math.isqrt(_BLOCK_CELLS)
-    shapes = (
-        (r + 1, r, 1),
-        (2 * (_BLOCK_CELLS // 700) + 1, 700, 2),
-        (_BLOCK_CELLS // 40 + 1, 40, 3),
-        (1, _BLOCK_CELLS + 1, 2),
-    )
-    for n, m, d in shapes:
-        assert_one_pass_is_two_pass(rng.uniform(-5.0, 5.0, size=(n, d)), rng.uniform(-5.0, 5.0, size=(m, d)))
+def test_early_break_scan_equals_two_pass_on_large_inputs(rng):
+    # up to 2^18 + 1 points on one side, and one point against them all
+    for n, m, d in ((513, 512, 1), (749, 700, 2), (6554, 40, 3), (1, 262145, 2)):
+        assert_early_break_is_two_pass(rng.uniform(-5.0, 5.0, size=(n, d)), rng.uniform(-5.0, 5.0, size=(m, d)))
 
 
 @st.composite
@@ -362,6 +370,15 @@ def test_index_mismatch():
     idx_wrong = GridIndex(v)
     with pytest.raises(IndexMismatch):
         hausdorff_distance_indexed(u, v, idx_u=idx_wrong, idx_v=GridIndex(v))
+
+
+def test_any_kd_tree_over_the_points_is_an_index():
+    u = Configuration([[0.0], [1.0]])
+    v = Configuration([[5.0], [6.0]])
+    assert hausdorff_distance_indexed(u, v, idx_u=cKDTree(u.points), idx_v=cKDTree(v.points)) == 5.0
+    for kwargs in ({"idx_u": cKDTree(v.points)}, {"idx_v": cKDTree(u.points)}):
+        with pytest.raises(IndexMismatch):
+            hausdorff_distance_indexed(u, v, **kwargs)
 
 
 def test_a_wrong_second_index_is_rejected():
