@@ -20,7 +20,9 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, PointTuple, _check_positive, _points_from_dict, as_point_array, frozen, separations
+from .config import (
+    DEFAULT_TOL_EQ, PointTuple, _check_positive, _points_from_dict, as_point_array, configuration_to_dict, frozen, separations
+)
 from .errors import (
     DuplicatePoints,
     LengthMismatch,
@@ -200,7 +202,7 @@ def chart_to_dict(c: Chart) -> dict:
     """Chart JSON. The base uses the configuration schema but keeps its
     stored point order: radii are aligned with it."""
     return {
-        "base": {"dim": c.base.dimension, "points": c.base.points.tolist()},
+        "base": configuration_to_dict(c.base),
         "radii": c.radii.tolist(),
     }
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOL_EQ, configuration_from_dict, read_json
+from .config import DEFAULT_TOL_EQ, configuration_from_dict, load_file
 from .charts import build_chart, chart_to_dict
 from .errors import BranchSpaceError
 from .hausdorff import (
@@ -123,15 +123,6 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def _load(parse, path, **kw):
-    """parse(JSON value of the file at path), naming the file when its
-    content has the wrong shape."""
-    try:
-        return parse(read_json(path), **kw)
-    except (KeyError, TypeError, IndexError, ValueError) as err:
-        raise ValueError(f"{path}: {err}") from err
-
-
 def tolerance(text: str) -> float:
     """argparse type of the tolerance flags: a finite number > 0."""
     value = float(text)
@@ -197,8 +188,8 @@ def cmd_hausdorff(args) -> int:
         sys.stderr.write("hausdorff: need two configuration files (or --bench N)\n")
         return PARSE_ERROR
     else:
-        u = _load(configuration_from_dict, args.left, tol_eq=args.tol_eq)
-        v = _load(configuration_from_dict, args.right, tol_eq=args.tol_eq)
+        u = load_file(configuration_from_dict, args.left, tol_eq=args.tol_eq)
+        v = load_file(configuration_from_dict, args.right, tol_eq=args.tol_eq)
         d = hausdorff_distance_indexed(u, v) if args.indexed else hausdorff_distance(u, v)
         result = {"distance": d, "n_left": len(u), "n_right": len(v), "indexed": bool(args.indexed)}
     _emit(args, _csv("key,value", sorted(result.items())) if args.format == "csv" else _dumps(result))
@@ -215,7 +206,7 @@ def cmd_simulate(args) -> int:
             # time step away from the survivor at the merge sample
             merge_tol = 2.0 / max(args.steps - 1, 1)
     else:
-        traj = _load(trajectory_from_dict, args.input, tol_eq=args.tol_eq)
+        traj = load_file(trajectory_from_dict, args.input, tol_eq=args.tol_eq)
     if merge_tol is None:
         merge_tol = DEFAULT_MERGE_TOL
     events = detect_stratum_events(traj, merge_tol=merge_tol)
@@ -231,7 +222,7 @@ def cmd_chart(args) -> int:
     if args.demo:
         base = [[0.0], [1.0], [3.0]]
     else:
-        base = _load(configuration_from_dict, args.input, tol_eq=args.tol_eq)
+        base = load_file(configuration_from_dict, args.input, tol_eq=args.tol_eq)
     # the Chart constructor has verified the radii, disjoint balls included
     chart = build_chart(base, tol_eq=args.tol_eq)
     _emit(args, _dumps(dict(chart_to_dict(chart), disjoint=True)))
@@ -245,7 +236,7 @@ def cmd_branched_path(args) -> int:
             args.parser.error(f"argument --samples: must be at least {least} at --jet-order {args.jet_order}")
         stages = make_split_loop(m=args.samples, final_offset=(0.0, args.perturb)).stages
     else:
-        stages = _load(branched_path_from_dict, args.input).stages
+        stages = load_file(branched_path_from_dict, args.input).stages
     bp = BranchedPath(stages, args.tol_eq)
 
     report = validate_branched(bp)
@@ -441,7 +432,7 @@ def main(argv=None) -> int:
     except OSError as err:
         sys.stderr.write(f"{args.command}: i/o error: {err}\n")
         return IO_ERROR
-    except (BranchSpaceError, ValueError, KeyError) as err:
+    except (BranchSpaceError, ValueError) as err:
         sys.stderr.write(f"{args.command}: invalid input: {err}\n")
         return PARSE_ERROR
 

@@ -27,10 +27,10 @@ DEFAULT_TOL_EQ = 1e-9
 MAX_STRATUM = 9
 
 
-def frozen(values) -> np.ndarray:
-    """A read-only float copy of values: every array an object stores is
-    one, so no caller's array can change the object after construction."""
-    arr = np.array(values, dtype=float)
+def frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of values as dtype (None: numpy's choice): every array
+    an object stores is one, so no caller's array can change it afterwards."""
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -67,10 +67,14 @@ def _check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _check_integer(value: int, name: str) -> None:
-    """Reject bool and non-integral values; numpy integers pass."""
+def _check_integer(value: int, name: str, low: int | None = None, high: int | None = None) -> None:
+    """Reject bool, non-integral and out-of-range values; numpy integers pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be between {low} and {high}, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def euclidean(x: np.ndarray, y: np.ndarray) -> float:
@@ -279,8 +283,8 @@ def empirical_average(f: Callable[[np.ndarray], float], u: Configuration) -> flo
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def configuration_to_dict(u: Configuration) -> dict:
-    """{"dim": d, "points": [[...], ...]} with points in canonical order."""
+def configuration_to_dict(u: PointTuple) -> dict:
+    """{"dim": d, "points": [[...], ...]} with points in stored order."""
     return {"dim": u.dimension, "points": u.points.tolist()}
 
 
@@ -299,6 +303,15 @@ def read_json(path):
     """The JSON value stored in the file at path."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_file(parse, path, read=read_json, **kw):
+    """parse(read(path), **kw), naming the file when its content has the
+    wrong shape."""
+    try:
+        return parse(read(path), **kw)
+    except (KeyError, TypeError, IndexError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def write_json(obj, path) -> None:

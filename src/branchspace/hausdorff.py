@@ -51,10 +51,21 @@ def _directed(a: np.ndarray, b: np.ndarray) -> float:
 def dist_to_set(x, v) -> float:
     """Distance from a point to a nonempty configuration: min over its
     points."""
-    pts = as_point_array(v)
+    x = as_point(x)
+    pts = as_point_array(v, dim=x.shape[0])
     if pts.shape[0] == 0:
         raise EmptyConfiguration("distance to an empty configuration")
-    return _directed(as_point(x)[None, :], pts)
+    return _directed(x[None, :], pts)
+
+
+def _pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as the metric compares them: nonempty, of one dimension."""
+    a, b = as_point_array(u), as_point_array(v)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise EmptyConfiguration("hausdorff distance needs nonempty configurations")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"hausdorff distance needs one dimension, got {a.shape[1]} and {b.shape[1]}")
+    return a, b
 
 
 def hausdorff_distance(u, v) -> float:
@@ -62,9 +73,7 @@ def hausdorff_distance(u, v) -> float:
 
     Cardinalities need not agree.
     """
-    a, b = as_point_array(u), as_point_array(v)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise EmptyConfiguration("hausdorff distance needs nonempty configurations")
+    a, b = _pair(u, v)
     return max(_directed(a, b), _directed(b, a))
 
 
@@ -95,9 +104,7 @@ def hausdorff_distance_indexed(
     any cKDTree, and its `data` must equal its configuration's points or
     IndexMismatch is raised.
     """
-    a, b = as_point_array(u), as_point_array(v)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise EmptyConfiguration("hausdorff distance needs nonempty configurations")
+    a, b = _pair(u, v)
     if idx_u is None:
         idx_u = GridIndex(a)
     elif not np.array_equal(idx_u.data, a):
@@ -126,6 +133,9 @@ class StratumEvent:
     before_cardinality: int
     after_cardinality: int
     location: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "location", frozen(self.location))
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,10 +231,9 @@ def benchmark(n: int, dimension: int = 2, seed: int = 0) -> dict:
     """Time the exact reference (hausdorff_distance, reported as "brute")
     against the indexed distance on two uniform clouds of n points;
     reports agreement and speedup."""
-    for value, name, low in ((n, "n", 1), (dimension, "dimension", 1), (seed, "seed", 0)):
-        _check_integer(value, name)
-        if value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
+    _check_integer(n, "n", 1)
+    _check_integer(dimension, "dimension", 1)
+    _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     side = float(n) ** (1.0 / dimension)
     u = rng.uniform(0.0, side, size=(n, dimension))

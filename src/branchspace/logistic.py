@@ -221,9 +221,7 @@ def bifurcation_points(k_max: int) -> tuple[float, ...]:
     bracket by Newton continuation, so the multiplier is available on both
     sides of the crossing. Each a_k is computed once per process.
     """
-    _check_integer(k_max, "k_max")
-    if not 1 <= k_max <= 6:
-        raise ValueError("k_max must be between 1 and 6")
+    _check_integer(k_max, "k_max", 1, 6)
     return _cascade(k_max)
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage  # erosion, dilation and label default to face adjacency
 
-from .config import _check_integer, _check_positive, frozen, read_json, write_json
+from .config import _check_integer, _check_positive, frozen, load_file, read_json, write_json
 from .errors import GridMismatch, SupportTouchesBoundary
 
 DEFAULT_TOL_SUPP = 1e-12
@@ -86,6 +86,10 @@ class SupportClass:
     labels: np.ndarray
     component_cells: tuple[int, ...]
     spacing: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "mask", frozen(self.mask, bool))
+        object.__setattr__(self, "labels", frozen(self.labels, None))  # ndimage's integer dtype
 
     @property
     def num_components(self) -> int:
@@ -177,17 +181,10 @@ def validate_constant_volume_path(
     cells = [int(np.count_nonzero(mask & region)) for mask in masks]
     clear = [not np.any(mask[ring]) for mask in masks]
 
-    violating: int | None = None
-    baseline: int | None = None
-    for j, (c, ok) in enumerate(zip(cells, clear)):
-        if not ok:
-            baseline = None
-            continue
-        if baseline is None:
-            baseline = c
-        elif c != baseline:
-            violating = j
-            break
+    # a run's volume equals its first until it first changes, so the first
+    # violation is the first change between two ring-clear neighbours
+    steps = range(1, len(frames))
+    violating = next((j for j in steps if clear[j - 1] and clear[j] and cells[j] != cells[j - 1]), None)
     return VolumePathReport(
         ok=violating is None,
         violating_step=violating,
@@ -269,9 +266,7 @@ def grid_to_dict(f: GridFunction) -> dict:
 def grid_from_dict(obj: dict) -> GridFunction:
     shape = tuple(obj["dims"])
     for s in shape:
-        _check_integer(s, "dims")
-        if s < 1:
-            raise ValueError(f"dims must be at least 1, got {s}")
+        _check_integer(s, "dims", 1)
     return GridFunction(np.reshape(obj["values"], shape), float(obj["h"]), obj["origin"])
 
 
@@ -280,7 +275,4 @@ def write_grid(f: GridFunction, path) -> None:
 
 
 def read_grid(path) -> GridFunction:
-    try:
-        return grid_from_dict(read_json(path) if str(path).endswith(".json") else read_grid_text(path))
-    except (KeyError, TypeError, IndexError, ValueError) as err:
-        raise ValueError(f"{path}: {err}") from err
+    return load_file(grid_from_dict, path, read_json if str(path).endswith(".json") else read_grid_text)

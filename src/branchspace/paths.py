@@ -52,9 +52,7 @@ class PathSegment:
 
     @classmethod
     def from_function(cls, fn: Callable[[float], Sequence[float]], m: int = 256) -> "PathSegment":
-        _check_integer(m, "m")
-        if m < MIN_INTERVALS:
-            raise ValueError(f"m must be at least {MIN_INTERVALS}, got {m}")
+        _check_integer(m, "m", MIN_INTERVALS)
         ts = np.arange(m + 1) / m
         return cls(np.asarray([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts]))
 
@@ -310,9 +308,7 @@ def jet_match(
     m^order, so fine sampling fails first: a straight junction of x speed
     0.3 leaves 0.012 at order 5 for m = 256 and 0.0059 at order 4 for m = 1024.
     """
-    _check_integer(order, "order")
-    if not 1 <= order <= MAX_JET_ORDER:
-        raise ValueError(f"order must be between 1 and {MAX_JET_ORDER}")
+    _check_integer(order, "order", 1, MAX_JET_ORDER)
     incoming, outgoing = junction.incoming, junction.outgoing
 
     min_m = min(g.intervals for g in incoming + outgoing)

@@ -93,6 +93,9 @@ class BranchLocus:
     cardinality_after: int
     parameter_value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "base_location", frozen(self.base_location))
+
     def to_json_dict(self) -> dict:
         return {
             "base_location": self.base_location.tolist(),
@@ -183,6 +186,10 @@ class Decomposition:
     selections: np.ndarray | None
     witness: ThreadingWitness | None
 
+    def __post_init__(self):
+        if self.selections is not None:
+            object.__setattr__(self, "selections", frozen(self.selections))
+
     @property
     def decomposable(self) -> bool:
         return self.selections is not None
@@ -251,9 +258,7 @@ def bifurcation_rows(
 ) -> list[tuple[float, float]]:
     """(parameter, orbit point) rows of the attractor sweep, for diagram
     plotting. Chaotic parameters contribute no rows."""
-    _check_integer(steps, "steps")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    _check_integer(steps, "steps", 2)
     rows: list[tuple[float, float]] = []
     for a in np.linspace(a_min, a_max, steps):
         att = logistic_attractor(float(a), max_period=max_period, orbit_tol=orbit_tol)

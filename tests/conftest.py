@@ -119,3 +119,19 @@ def decompose_oracle(sample):
             taken[best] = True
             sel[k, j + 1] = nxt[best]
     return Decomposition(sel, None)
+
+
+def constant_volume_oracle(cells, clear):
+    """The first violating step of the constant-volume condition, by a
+    baseline tracked per run of ring-clear frames: the oracle of
+    `measure.validate_constant_volume_path`, which compares neighbours."""
+    baseline = None
+    for j, (c, ok) in enumerate(zip(cells, clear)):
+        if not ok:
+            baseline = None
+            continue
+        if baseline is None:
+            baseline = c
+        elif c != baseline:
+            return j
+    return None

@@ -247,6 +247,15 @@ def test_hausdorff_files(capsys, tmp_path):
     assert json.loads(out)["distance"] == 1.0
 
 
+def test_hausdorff_of_two_dimensions_exits_2_alike_with_and_without_the_index(capsys, tmp_path):
+    write_json(configuration_to_dict(Configuration([[0.0], [2.0]])), tmp_path / "u.json")
+    write_json(configuration_to_dict(Configuration([[1.0, 0.0]])), tmp_path / "v.json")
+    files = [str(tmp_path / "u.json"), str(tmp_path / "v.json")]
+    plain = run(capsys, "hausdorff", *files)
+    assert plain == (2, "", "hausdorff: invalid input: hausdorff distance needs one dimension, got 1 and 2\n")
+    assert run(capsys, "hausdorff", *files, "--indexed") == plain
+
+
 def test_hausdorff_missing_file_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "hausdorff", str(tmp_path / "nope.json"), str(tmp_path / "nope2.json"))
     assert code == 4
@@ -361,12 +370,19 @@ BAD_DIM = [
         (["measure", "--frames", "{dir}", "--region", "{good}"], dict(GOOD_GRID, dims=3)),
         (["measure", "--frames", "{frames}", "--region", "{bad}"], dict(GOOD_GRID, dims=3)),
         *BAD_DIM,
+        # an input of each loader that lacks a key: configuration and
+        # trajectory have one above; a string is a text grid
+        (["branched-path", "--input", "{bad}"], {}),
+        (["measure", "--frames", "{frames}", "--region", "{bad}"], {k: GOOD_GRID[k] for k in ("dims", "h", "values")}),
+        (["measure", "--frames", "{frames}", "--region", "{bad}"], "3\n0.1\n"),
     ],
 )
 def test_a_wrong_shaped_input_file_exits_2_naming_it(capsys, tmp_path, argv, content):
     # an exception out of main, which a cold run prints as a traceback, fails the test
-    files = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json", "frames": tmp_path / "frames"}
-    files["bad"].write_text(json.dumps(content))
+    text = isinstance(content, str)
+    files = {"bad": tmp_path / ("bad.txt" if text else "bad.json"), "good": tmp_path / "good.json"}
+    files["frames"] = tmp_path / "frames"
+    files["bad"].write_text(content if text else json.dumps(content))
     files["good"].write_text(json.dumps(GOOD_GRID))
     files["frames"].mkdir()
     (files["frames"] / "frame.json").write_text(json.dumps(GOOD_GRID))

@@ -29,13 +29,24 @@ from branchspace.config import as_point_array, read_json, write_json
 from branchspace.hausdorff import (
     GridIndex,
     StratumEvent,
+    benchmark,
+    detect_stratum_events,
     dist_to_set,
     hausdorff_distance,
     hausdorff_distance_indexed,
+    two_particle_merge_trajectory,
 )
-from branchspace.measure import GridFunction
+from branchspace.logistic import bifurcation_points
+from branchspace.measure import GridFunction, SupportClass, grid_from_dict, support_class
 from branchspace.paths import PathSegment, jet_match, make_split_loop
-from branchspace.sections import BranchedSectionSample, BranchLocus, Decomposition
+from branchspace.sections import (
+    BranchedSectionSample,
+    BranchLocus,
+    Decomposition,
+    bifurcation_rows,
+    branched_equilibrium_section,
+    decompose_or_witness,
+)
 
 from conftest import random_configuration
 
@@ -292,6 +303,40 @@ def test_empirical_average_order_independent(rng):
 
 
 # ---------------------------------------------------------------------------
+# integer arguments: one check of type and range
+# ---------------------------------------------------------------------------
+
+JUNCTION = make_split_loop(m=64).junctions()[0]
+
+# name: (a call with the integer as its one varying argument, low, high or None)
+RANGED = {
+    "n": (lambda v: benchmark(v, dimension=1), 1, None),
+    "dimension": (lambda v: benchmark(2, dimension=v), 1, None),
+    "seed": (lambda v: benchmark(2, seed=v), 0, None),
+    "steps": (lambda v: bifurcation_rows(2.5, 2.8, v), 2, None),
+    "m": (lambda v: PathSegment.from_function(lambda t: (t, 0.0), v), 8, None),
+    "order": (lambda v: jet_match(JUNCTION, lambda q: q[0], order=v), 1, 5),
+    "k_max": (lambda v: bifurcation_points(v), 1, 6),
+    "dims": (lambda v: grid_from_dict({"dims": [v], "h": 0.1, "origin": [0.0], "values": [0.0]}), 1, None),
+}
+
+
+@pytest.mark.parametrize("name", RANGED)
+def test_an_integer_argument_is_checked_for_type_and_range(name):
+    call, low, high = RANGED[name]
+    for bad in (True, 1.5):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            call(bad)
+    # one message form, the value printed with str: numpy integers read as ints
+    span = f"at least {low}" if high is None else f"between {low} and {high}"
+    for bad in (low - 1,) if high is None else (low - 1, high + 1):
+        with pytest.raises(ValueError, match=f"^{name} must be {span}, got {bad}$"):
+            call(np.int64(bad))
+    for good in (low,) if high is None else (low, high):
+        call(good)
+
+
+# ---------------------------------------------------------------------------
 # ambient space and relations
 # ---------------------------------------------------------------------------
 
@@ -418,6 +463,7 @@ def _index_answers_for_its_points(idx: GridIndex, raw: np.ndarray, before: np.nd
 
 THREE = LocallyFiniteConfiguration([[0.0], [1.0], [3.0]])
 UNIFORM = np.random.default_rng(7).uniform(0.0, 10.0, size=(200, 2))
+MASK = np.pad(np.ones((1, 1), dtype=bool), 1)
 
 # name: (the caller's array, constructor, the array the object returns,
 # a check that the object is still what it was built as)
@@ -441,12 +487,23 @@ OWNERS = {
     "GridFunction.origin": (
         [0.5, -0.5], lambda o: GridFunction(np.ones((3, 4)), 0.1, o), lambda f: f.origin, None),
     "GridIndex": (UNIFORM, GridIndex, lambda idx: idx.points, _index_answers_for_its_points),
+    "StratumEvent.location": (
+        [[0.0, 0.0]], lambda x: StratumEvent(1.0, "merge", 2, 1, x), lambda e: e.location, None),
+    "BranchLocus.base_location": ([0.1, 0.2], lambda x: BranchLocus(x, 1, 2, 3.0), lambda b: b.base_location, None),
+    "Decomposition.selections": ([[1.0, 2.0]], lambda s: Decomposition(s, None), lambda d: d.selections, None),
+    # mask and labels keep their dtypes
+    "SupportClass.mask": (
+        MASK, lambda m: SupportClass(m, MASK.astype(np.int32), (1,), 0.1), lambda c: c.mask,
+        lambda c, *_: c.mask.dtype == bool),
+    "SupportClass.labels": (
+        MASK.astype(np.int32), lambda lab: SupportClass(MASK, lab, (1,), 0.1), lambda c: c.labels,
+        lambda c, *_: c.labels.dtype == np.int32),
 }
 
 
 @pytest.mark.parametrize("values, build, read, still_valid", OWNERS.values(), ids=OWNERS.keys())
 def test_objects_keep_a_read_only_copy_of_the_callers_array(values, build, read, still_valid):
-    raw = np.array(values, dtype=float)
+    raw = np.array(values)
     before = raw.copy()
     obj = build(raw)
     kept = read(obj).copy()
@@ -456,6 +513,28 @@ def test_objects_keep_a_read_only_copy_of_the_callers_array(values, build, read,
         read(obj)[...] = 0.0
     if still_valid is not None:
         assert still_valid(obj, raw, before)
+
+
+def _split_section():
+    """A section over [2.9, 3.1] that crosses a_1 = 3 once."""
+    return branched_equilibrium_section(lambda p: 2.9 + 0.2 * float(p[0]), np.linspace(0.0, 1.0, 5).reshape(-1, 1))
+
+
+# the arrays of results the library builds itself
+RETURNED = {
+    "detect_stratum_events": lambda: detect_stratum_events(
+        two_particle_merge_trajectory(np.linspace(0.0, 1.0, 11)), merge_tol=0.2)[0].location,
+    "branched_equilibrium_section": lambda: _split_section()[1][0].base_location,
+    "decompose_or_witness": lambda: decompose_or_witness(_split_section()[0].restrict([3, 4])).selections,
+    "support_class.mask": lambda: support_class(GridFunction(MASK, 0.1)).mask,
+    "support_class.labels": lambda: support_class(GridFunction(MASK, 0.1)).labels,
+}
+
+
+@pytest.mark.parametrize("array", RETURNED.values(), ids=RETURNED.keys())
+def test_arrays_the_library_returns_are_read_only(array):
+    with pytest.raises(ValueError):
+        array()[...] = 0
 
 
 def test_a_junction_point_and_its_jet_result_are_read_only():

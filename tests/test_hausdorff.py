@@ -129,6 +129,24 @@ def test_extension_property(rng):
     assert hausdorff_distance(u, extended) == dist_to_set(x, u)
 
 
+@pytest.mark.parametrize("distance", [hausdorff_distance, hausdorff_distance_indexed])
+@pytest.mark.parametrize("swap", [False, True])
+def test_the_metric_compares_configurations_of_one_dimension(distance, swap):
+    # each used to end in a scipy message that named no dimension, and the
+    # two messages differed
+    pair = [Configuration([[0.0], [1.0]]), Configuration([[0.0, 0.0]])]
+    dims = "2 and 1" if swap else "1 and 2"
+    with pytest.raises(ValueError, match=f"^hausdorff distance needs one dimension, got {dims}$"):
+        distance(*(pair[::-1] if swap else pair))
+
+
+def test_dist_to_set_needs_the_points_dimension():
+    with pytest.raises(ValueError, match="^expected dimension 2, got 1$"):
+        dist_to_set([0.0, 0.0], Configuration([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="^expected dimension 1, got 2$"):
+        dist_to_set([0.0], Configuration([[0.0, 0.0]]))
+
+
 def test_empty_rejected():
     u = Configuration([[0.0]])
     empty = Configuration(np.empty((0, 1)))

@@ -27,6 +27,8 @@ from branchspace.measure import (
     write_grid,
 )
 
+from conftest import constant_volume_oracle
+
 
 def bump(shape, sl, value=1.0, spacing=0.1):
     vals = np.zeros(shape)
@@ -212,6 +214,24 @@ def test_volume_change_inside_clear_interval_detected():
     region[2:8, 1:8] = True
     report = validate_constant_volume_path(frames, region)
     assert not report.ok and report.violating_step == 4
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12), st.floats(0.0, 0.4))
+@settings(deadline=None, max_examples=200)
+def test_first_violation_matches_the_run_baseline_oracle(seed, count, density):
+    # frames drawn from a pool of three supports, so that runs repeat a
+    # volume and rings are clear in some frames and dirty in others
+    rng = np.random.default_rng(seed)
+    shape = (6, 7)
+    pool = [np.where(rng.random(shape) < density, 1.0, 0.0) for _ in range(3)]
+    frames = [GridFunction(pool[i], 0.1) for i in rng.integers(0, 3, size=count)]
+    region = np.zeros(shape, dtype=bool)
+    (r0, r1), (c0, c1) = np.sort(rng.integers(0, 7, size=(2, 2)), axis=1)
+    region[r0 : r1 + 1, c0 : c1 + 1] = True
+    report = validate_constant_volume_path(frames, region)
+    expected = constant_volume_oracle(report.cells_in_region, report.ring_clear)
+    assert report.violating_step == expected
+    assert report.ok == (expected is None)
 
 
 def test_rescaled_frames_validate_identically(rng):
