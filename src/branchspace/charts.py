@@ -21,7 +21,8 @@ from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .config import (
-    DEFAULT_TOL_EQ, PointTuple, _check_positive, _points_from_dict, as_point_array, configuration_to_dict, frozen, separations
+    _MIN_RADIUS, DEFAULT_TOL_EQ, PointTuple, _check_positive, _numeric, _points_from_dict, _sorted_separations,
+    as_point_array, canonical_order, configuration_to_dict, frozen, separations
 )
 from .errors import (
     DuplicatePoints,
@@ -59,15 +60,21 @@ class Chart:
     radii: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.base, PointTuple):
-            object.__setattr__(self, "base", LocallyFiniteConfiguration(self.base))
-        r = frozen(np.ravel(self.radii))
-        if r.shape[0] != len(self.base):
+        self._store(self.base, self.radii)
+
+    def _store(self, base, radii, sep: np.ndarray | None = None) -> "Chart":
+        """Store and check base and radii, against sep when it is given."""
+        if not isinstance(base, PointTuple):
+            base = LocallyFiniteConfiguration(base)
+        r = frozen(np.ravel(radii))
+        if r.shape[0] != len(base):
             raise LengthMismatch("one radius per base point required")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "radii", r)
-        ok, why = self.verify()
+        ok, why = self.verify() if sep is None else self._verify(sep)
         if not ok:
             raise ValueError(f"invalid chart radii: {why}")
+        return self
 
     def __len__(self) -> int:
         return len(self.base)
@@ -75,12 +82,15 @@ class Chart:
     def verify(self) -> tuple[bool, str | None]:
         """Check the radius invariants, with a relative _VERIFY_SLACK for
         equality cases (radii from build_chart sit exactly on the bounds)."""
+        return self._verify(separations(self.base) if len(self.base) >= 2 else None)
+
+    def _verify(self, sep: np.ndarray | None) -> tuple[bool, str | None]:
         r = self.radii
         if not np.all(r > 0):
             return False, "radii must be strictly positive"
         # 2 eps_i <= sep_i for every i also makes the balls disjoint:
         # eps_i + eps_j <= (sep_i + sep_j) / 2 <= |u_i - u_j|.
-        if len(self.base) >= 2 and np.any(2.0 * r > separations(self.base) * (1.0 + _VERIFY_SLACK)):
+        if sep is not None and np.any(2.0 * r > sep * (1.0 + _VERIFY_SLACK)):
             return False, "a doubled ball B(u_i, 2 eps_i) captures another base point"
         return True, None
 
@@ -97,8 +107,8 @@ def build_chart(u, tol_eq: float = DEFAULT_TOL_EQ) -> Chart:
         raise SingletonConfiguration("charts need at least two points")
     sep = separations(pts)
     i = int(np.argmin(sep))
-    if sep[i] > tol_eq:
-        return Chart(u, sep / 2.0)
+    if sep[i] > tol_eq:  # the invariants are checked against sep, with no second search
+        return Chart.__new__(Chart)._store(u, sep / 2.0, sep)
     raise DuplicatePoints(f"point {i} has a neighbor within tol_eq={tol_eq:g}")
 
 
@@ -107,7 +117,8 @@ def chart_apply(c: Chart, z) -> LocallyFiniteConfiguration:
 
     Every ||z_i|| must be < 1. The image is verified pairwise distinct
     (guaranteed by ball disjointness, so a failure means degenerate
-    floating-point input).
+    floating-point input): the check asks only whether two image points
+    are 0 apart, so its kd-tree search stops at the least radius.
     """
     zz = as_point_array(z, dim=c.base.dimension)
     if zz.shape[0] != len(c):
@@ -117,7 +128,7 @@ def chart_apply(c: Chart, z) -> LocallyFiniteConfiguration:
         i = int(np.argmax(norms >= 1.0))
         raise OutOfUnitBall(f"coordinate {i} has norm {norms[i]:.6g} >= 1")
     out = c.base.points + c.radii[:, None] * zz
-    if out.shape[0] >= 2 and np.min(separations(out)) <= 0.0:
+    if out.shape[0] >= 2 and np.min(_sorted_separations(out[canonical_order(out)], _MIN_RADIUS)) <= 0.0:
         raise DuplicatePoints("chart image degenerated to coincident points")
     return LocallyFiniteConfiguration(out)
 
@@ -143,14 +154,14 @@ def ball_assignment(c: Chart, v) -> np.ndarray:
         j = int(np.argmax(on_boundary))
         raise NotInDomain(f"point {j} lies on the boundary of ball {near[j]} within tol_eq")
     inside = d < r
-    pi = np.full(len(c), -1, dtype=np.intp)
-    for j, i in enumerate(near.tolist()):
+    _, first, ball = np.unique(near, return_index=True, return_inverse=True)
+    fault = ~inside | (first[ball] < np.arange(len(c)))  # outside, or in an earlier point's ball
+    if np.any(fault):
+        j = int(np.argmax(fault))
         if not inside[j]:
             raise NotInDomain(f"point {j} lies in no chart ball")
-        if pi[i] >= 0:
-            raise NotInDomain(f"points {int(pi[i])} and {j} both fall in ball {i}")
-        pi[i] = j
-    return pi
+        raise NotInDomain(f"points {first[ball[j]]} and {j} both fall in ball {near[j]}")
+    return first  # near is a permutation, so first[i] is the point in ball i
 
 
 def chart_invert(c: Chart, v) -> np.ndarray:
@@ -208,4 +219,4 @@ def chart_to_dict(c: Chart) -> dict:
 
 
 def chart_from_dict(obj: dict) -> Chart:
-    return Chart(_points_from_dict(obj["base"]), obj["radii"])
+    return Chart(_points_from_dict(obj["base"]), _numeric(obj["radii"], "radii"))

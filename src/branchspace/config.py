@@ -25,6 +25,7 @@ from .errors import CompatibilityViolation, EmptyConfiguration, SingletonConfigu
 
 DEFAULT_TOL_EQ = 1e-9
 MAX_STRATUM = 9
+_MIN_RADIUS = 1e-150  # a kd-tree search radius must square above 0: scipy's bound is a strict <
 
 
 def frozen(values, dtype=float) -> np.ndarray:
@@ -75,6 +76,17 @@ def _check_integer(value: int, name: str, low: int | None = None, high: int | No
         raise ValueError(f"{name} must be between {low} and {high}, got {value}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _numeric(value, name: str):
+    """value, a number or nested lists of them read from a file, unless it
+    holds a JSON true or false, which float() would read as 1 or 0."""
+    items = [value]
+    while items:
+        if bool in set(map(type, items)):
+            raise ValueError(f"{name} must be numeric, got a boolean")
+        items = list(itertools.chain.from_iterable(v for v in items if isinstance(v, (list, tuple))))
+    return value
 
 
 def euclidean(x: np.ndarray, y: np.ndarray) -> float:
@@ -177,8 +189,8 @@ def separations(u) -> np.ndarray:
     return out
 
 
-def _sorted_separations(rows: np.ndarray) -> np.ndarray:
-    """separations of at least two rows already in canonical order.
+def _sorted_separations(rows: np.ndarray, radius: float = math.inf) -> np.ndarray:
+    """separations of at least two rows already in canonical order, inf beyond radius.
 
     A kd-tree cannot split a pile of equal points, so the rows equal to
     their neighbour are collapsed first and one query runs over the
@@ -187,7 +199,7 @@ def _sorted_separations(rows: np.ndarray) -> np.ndarray:
     new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     pile = np.cumsum(new) - 1  # each row's distinct row
     distinct = rows[new]
-    dist, _ = cKDTree(distinct).query(distinct, k=2)
+    dist, _ = cKDTree(distinct).query(distinct, k=2, distance_upper_bound=radius)
     sep = dist[:, 1]
     sep[np.bincount(pile) > 1] = 0.0
     return sep[pile]
@@ -197,10 +209,11 @@ def _check_distinct(points: np.ndarray, tol_eq: float) -> None:
     """Reject coincident points among rows in canonical order: the point of
     least separation must be further than tol_eq from the rest. Otherwise
     its pair with its nearest point is reported, i < j; for a pile of
-    equal sorted points that is the pile's first two rows."""
+    equal sorted points that is the pile's first two rows. The search stops
+    at 2 tol_eq: a distance within tol_eq, and so the pair, is exact."""
     if points.shape[0] < 2:
         return
-    sep = _sorted_separations(points)
+    sep = _sorted_separations(points, max(2.0 * tol_eq, _MIN_RADIUS))
     i = int(np.argmin(sep))
     if sep[i] > tol_eq:
         return
@@ -291,7 +304,7 @@ def configuration_to_dict(u: PointTuple) -> dict:
 def _points_from_dict(obj: dict) -> np.ndarray:
     """The points of {"dim": d, "points": [[...], ...]}, d an integer."""
     _check_integer(obj["dim"], "dim")
-    return as_point_array(obj["points"], dim=obj["dim"])
+    return as_point_array(_numeric(obj["points"], "points"), dim=obj["dim"])
 
 
 def configuration_from_dict(obj: dict, tol_eq: float = DEFAULT_TOL_EQ) -> Configuration:

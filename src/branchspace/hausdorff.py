@@ -26,6 +26,7 @@ from .config import (
     DEFAULT_TOL_EQ,
     _check_integer,
     _check_positive,
+    _numeric,
     as_point,
     as_point_array,
     configuration_from_dict,
@@ -205,7 +206,7 @@ def trajectory_to_dict(traj: Sequence[tuple[float, Configuration]]) -> dict:
 
 
 def trajectory_from_dict(obj: dict, tol_eq: float = DEFAULT_TOL_EQ) -> list[tuple[float, Configuration]]:
-    times = [float(t) for t in obj["times"]]
+    times = [float(t) for t in _numeric(obj["times"], "times")]
     frames = [configuration_from_dict(f, tol_eq=tol_eq) for f in obj["frames"]]
     if len(times) != len(frames):
         raise ValueError("times and frames must have equal length")

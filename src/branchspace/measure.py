@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage  # erosion, dilation and label default to face adjacency
 
-from .config import _check_integer, _check_positive, frozen, load_file, read_json, write_json
+from .config import _check_integer, _check_positive, _numeric, frozen, load_file, read_json, write_json
 from .errors import GridMismatch, SupportTouchesBoundary
 
 DEFAULT_TOL_SUPP = 1e-12
@@ -267,7 +267,8 @@ def grid_from_dict(obj: dict) -> GridFunction:
     shape = tuple(obj["dims"])
     for s in shape:
         _check_integer(s, "dims", 1)
-    return GridFunction(np.reshape(obj["values"], shape), float(obj["h"]), obj["origin"])
+    values, h, origin = (_numeric(obj[key], key) for key in ("values", "h", "origin"))
+    return GridFunction(np.reshape(values, shape), float(h), origin)
 
 
 def write_grid(f: GridFunction, path) -> None:

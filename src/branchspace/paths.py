@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, _check_integer, _check_positive, as_point_array, frozen
+from .config import DEFAULT_TOL_EQ, _check_integer, _check_positive, _numeric, as_point_array, frozen
 from .errors import EndpointMismatch, InsufficientResolution
 from .hausdorff import hausdorff_distance
 
@@ -373,7 +373,7 @@ def branched_path_from_dict(obj: dict) -> BranchedPath:
     for stage in obj["stages"]:
         segs = []
         for g in stage:
-            samples = g["samples"]
+            samples = _numeric(g["samples"], "samples")
             ts = np.asarray([s[0] for s in samples], dtype=float)
             m = len(samples) - 1
             if m < 1 or not np.allclose(ts, np.arange(m + 1) / m, atol=1e-12):

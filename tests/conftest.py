@@ -3,7 +3,10 @@ import pytest
 from hypothesis import settings
 from hypothesis.errors import InvalidArgument
 
-from branchspace import BranchedPath, Configuration, NonConstantCardinality, PathSegment
+from scipy.spatial import cKDTree
+
+from branchspace import BranchedPath, Configuration, LengthMismatch, NonConstantCardinality, NotInDomain, PathSegment
+from branchspace.config import DEFAULT_TOL_EQ, as_point_array
 from branchspace.sections import GAP_RATIO, Decomposition, ThreadingWitness
 
 # `--hypothesis-profile=ci` (the CI tier-1 step): a failing property prints
@@ -135,3 +138,27 @@ def constant_volume_oracle(cells, clear):
         elif c != baseline:
             return j
     return None
+
+
+def ball_assignment_loop(c, v):
+    """Each chart ball's point, matched point by point in a Python loop:
+    the oracle of `charts.ball_assignment`, which finds the first point
+    outside every ball or sharing one with numpy."""
+    pts = as_point_array(v)
+    if pts.shape[0] != len(c):
+        raise LengthMismatch(f"expected {len(c)} points, got {pts.shape[0]}")
+    d, near = cKDTree(c.base.points).query(pts)
+    r = c.radii[near]
+    on_boundary = np.abs(d - r) <= DEFAULT_TOL_EQ
+    if np.any(on_boundary):
+        j = int(np.argmax(on_boundary))
+        raise NotInDomain(f"point {j} lies on the boundary of ball {near[j]} within tol_eq")
+    inside = d < r
+    pi = np.full(len(c), -1, dtype=np.intp)
+    for j, i in enumerate(near.tolist()):
+        if not inside[j]:
+            raise NotInDomain(f"point {j} lies in no chart ball")
+        if pi[i] >= 0:
+            raise NotInDomain(f"points {int(pi[i])} and {j} both fall in ball {i}")
+        pi[i] = j
+    return pi

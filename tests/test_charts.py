@@ -21,9 +21,10 @@ from branchspace import (
     transition_jacobian,
     validate,
 )
+from branchspace import config
 from branchspace.charts import ball_assignment, chart_from_dict, chart_to_dict
 
-from conftest import random_configuration
+from conftest import ball_assignment_loop, random_configuration
 
 
 def three_points():
@@ -168,6 +169,19 @@ def test_chart_invariant_enforced():
         Chart(LocallyFiniteConfiguration([[0.0], [1e-13]]), np.array([5e-13, 5e-13]))
 
 
+def test_build_chart_computes_the_separations_once(monkeypatch):
+    calls = []
+    kernel = config._sorted_separations
+    monkeypatch.setattr(config, "_sorted_separations", lambda *a, **kw: calls.append(a) or kernel(*a, **kw))
+    assert build_chart(three_points()).radii.tolist() == [0.5, 0.5, 1.0]
+    assert len(calls) == 1
+    # radii a user chooses get the full check, with its own search
+    calls.clear()
+    with pytest.raises(ValueError, match="^invalid chart radii: a doubled ball"):
+        Chart(three_points(), [0.5, 0.5, 1.5])
+    assert len(calls) == 1
+
+
 def test_nan_radii_are_rejected():
     with pytest.raises(ValueError, match="strictly positive"):
         Chart([[0.0], [1.0]], [np.nan, np.nan])
@@ -213,11 +227,14 @@ def ball_assignment_by_definition(base, r, pts, tol_eq=1e-9):
 
 
 @st.composite
-def chart_cases(draw):
+def chart_cases(draw, valid=False):
     """A base on jittered integer cells (coordinates below 1e4, where
     tol_eq is far above the rounding error of a distance), one radius
     factor per point relative to half its separation, and one probe point
-    per ball: inside, on or near the boundary, outside, or in another ball."""
+    per ball: inside, on or near the boundary, outside, or in another ball.
+    With valid, the radii keep within the bound and the probes take any
+    subset of the five kinds, so that points outside every ball or sharing
+    one also come without a point on a boundary."""
     dim = draw(st.integers(1, 3))
     cell = st.tuples(*[st.integers(-4, 4)] * dim)
     cells = np.array(draw(st.lists(cell, min_size=2, max_size=10, unique=True)), dtype=float)
@@ -227,14 +244,16 @@ def chart_cases(draw):
     base = (cells + jitter) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
     d = pairwise(base, base)
     np.fill_diagonal(d, np.inf)
-    if draw(st.booleans()):  # radii within the bound
+    if valid or draw(st.booleans()):  # radii within the bound
         factor = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1.0))
     else:
         factor = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.001, 1.5]), st.floats(0.01, 1.5))
     radii = np.array(draw(st.lists(factor, min_size=n, max_size=n))) * np.min(d, axis=1) / 2.0
-    kinds = ["inside"]
-    if draw(st.booleans()):
-        kinds += ["boundary", "near-boundary", "outside", "other-ball"]
+    faults = ["boundary", "near-boundary", "outside", "other-ball"]
+    if valid:
+        kinds = draw(st.lists(st.sampled_from(["inside"] + faults), min_size=1, unique=True))
+    else:
+        kinds = ["inside"] + (faults if draw(st.booleans()) else [])
 
     probes = []
     for i in range(n):
@@ -272,6 +291,22 @@ def test_verify_and_ball_assignment_match_definitions(case):
             ball_assignment(chart, probes)
     else:
         assert np.array_equal(ball_assignment(chart, probes), want)
+
+
+@given(chart_cases(valid=True))
+@settings(deadline=None, max_examples=300)
+def test_ball_assignment_matches_the_point_by_point_loop(case):
+    # the same pi, or the same exception with the same message
+    base, radii, probes = case
+    chart = Chart(LocallyFiniteConfiguration(base), radii)
+    try:
+        want = ball_assignment_loop(chart, probes)
+    except NotInDomain as err:
+        with pytest.raises(NotInDomain) as got:
+            ball_assignment(chart, probes)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+        return
+    assert np.array_equal(ball_assignment(chart, probes), want)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +353,15 @@ def test_apply_rejects_an_image_that_rounds_to_coincident_points():
     chart = build_chart(LocallyFiniteConfiguration([[1e16], [1e16 + 4]]))
     with pytest.raises(DuplicatePoints, match="chart image degenerated to coincident points"):
         chart_apply(chart, [[1 - 2**-53], [-(1 - 2**-53)]])
+
+
+def test_apply_rejects_distinct_image_points_whose_distance_squares_to_0():
+    # images at -+2.7e-166: the square of their distance underflows, so
+    # they read 0 apart, and only a search radius whose square is above 0
+    # finds them
+    chart = build_chart(LocallyFiniteConfiguration([[-1e-150], [1e-150]]), tol_eq=1e-200)
+    with pytest.raises(DuplicatePoints, match="chart image degenerated to coincident points"):
+        chart_apply(chart, [[1 - 2**-52], [-(1 - 2**-52)]])
 
 
 def test_a_chart_needs_one_radius_per_base_point():

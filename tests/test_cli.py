@@ -393,6 +393,32 @@ def test_a_wrong_shaped_input_file_exits_2_naming_it(capsys, tmp_path, argv, con
         assert f"{files['bad']}: {'dims' if 'dims' in content else 'dim'} must be" in err
 
 
+# JSON true and false where a number belongs; float() reads them as 1 and 0,
+# so each of these used to run on (hausdorff printed 0.5 and exited 0)
+BOOLEAN = {
+    "points": (["hausdorff", "{bad}", "{good}"], {"dim": 1, "points": [[True], [False]]}),
+    "chart-points": (["chart", "--input", "{bad}"], {"dim": 2, "points": [[0.0, 1.0], [2.0, False]]}),
+    "times": (["simulate", "--input", "{bad}"], {"times": [True, 2.0], "frames": [{"dim": 1, "points": [[0.0]]}] * 2}),
+    "samples": (["branched-path", "--input", "{bad}"],
+                {"stages": [[{"samples": [[k / 8, [k == 8]] for k in range(9)]}]]}),
+    "h": (["measure", "--frames", "{frames}", "--region", "{bad}"], dict(GOOD_GRID, h=True)),
+    "origin": (["measure", "--frames", "{frames}", "--region", "{bad}"], dict(GOOD_GRID, origin=[False])),
+    "values": (["measure", "--frames", "{frames}", "--region", "{bad}"], dict(GOOD_GRID, values=[0.0, True, 0.0])),
+}
+
+
+@pytest.mark.parametrize("key, argv, content", [(k.split("-")[-1], *v) for k, v in BOOLEAN.items()], ids=BOOLEAN.keys())
+def test_a_boolean_where_a_number_belongs_exits_2_naming_the_file(capsys, tmp_path, key, argv, content):
+    files = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json", "frames": tmp_path / "frames"}
+    files["bad"].write_text(json.dumps(content))
+    files["good"].write_text(json.dumps({"dim": 1, "points": [[0.5], [2.0]]}))
+    files["frames"].mkdir()
+    (files["frames"] / "frame.json").write_text(json.dumps(GOOD_GRID))
+    code, out, err = run(capsys, *[arg.format(**files) for arg in argv])
+    assert (code, out) == (2, "")
+    assert f"invalid input: {files['bad']}: {key} must be numeric, got a boolean" in err
+
+
 # ---------------------------------------------------------------------------
 # chart
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchspace import (
@@ -25,7 +26,7 @@ from branchspace import (
     validate,
 )
 from branchspace.charts import Chart, build_chart, chart_invert, separations
-from branchspace.config import as_point_array, read_json, write_json
+from branchspace.config import as_point_array, canonical_order, read_json, write_json
 from branchspace.hausdorff import (
     GridIndex,
     StratumEvent,
@@ -175,6 +176,77 @@ def test_default_distinctness_matches_the_pairwise_loop(cells, copies, nudge, to
         with pytest.raises(CompatibilityViolation) as err:
             canonicalize(o, tol_eq=tol_eq)
         assert_closest(err.value.pair)
+
+
+def distinctness_oracle(pts, tol_eq):
+    """The pair Configuration reports, from the full, unbounded
+    separations: None for distinct points, else the canonical indices of
+    the point of least separation (the first in canonical order) and of
+    its nearest point, in increasing order."""
+    if pts.shape[0] < 2:
+        return None
+    order = canonical_order(pts)
+    rows, sep = pts[order], separations(pts)[order]
+    i = int(np.argmin(sep))
+    if sep[i] > tol_eq:
+        return None
+    dist = np.sqrt(np.sum((rows - rows[i]) ** 2, axis=1))
+    dist[i] = np.inf
+    return tuple(sorted((i, int(np.argmin(dist)))))
+
+
+@st.composite
+def distinctness_cases(draw):
+    """Integer cells at a spacing near tol_eq (at most 1e100, so no square
+    overflows), a pile of copies of the first cell, and a pair at tol_eq or
+    one ulp either side of it: 0 and -gap on the first axis, an exact
+    distance, as the cells are not negative."""
+    tol_eq = draw(st.sampled_from([DEFAULT_TOL_EQ, 1.0, 1e-160, 1e-200, 1e200]))
+    dim = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 4)] * dim), min_size=1, max_size=10))
+    cells += [cells[0]] * draw(st.integers(0, 3))
+    pts = np.array(cells, dtype=float) * min(tol_eq * draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])), 1e100)
+    if tol_eq < 1e100 and draw(st.booleans()):
+        gap = draw(st.sampled_from([np.nextafter(tol_eq, 0.0), tol_eq, np.nextafter(tol_eq, np.inf)]))
+        pair = np.zeros((2, dim))
+        pair[1, 0] = -gap
+        pts = np.vstack([pts, pair])
+    return pts[draw(st.permutations(range(pts.shape[0])))], tol_eq
+
+
+@given(distinctness_cases())
+# 1e-201 squares to 0, so only a search radius kept above 1e-150 finds the pair
+@example((np.array([[5.0], [1e-201], [0.0]]), 1e-200))
+@settings(deadline=None, max_examples=300)
+def test_the_bounded_distinctness_check_matches_the_full_search(case):
+    pts, tol_eq = case
+    want = distinctness_oracle(pts, tol_eq)
+    assert validate(OrderedConfiguration(pts, default_relation(tol_eq)))[0] == (want is None)
+    order = canonical_order(pts)
+    if want is None:
+        assert np.array_equal(Configuration(pts, tol_eq).points, pts[order])
+        assert canonicalize(pts, tol_eq) == Configuration(pts, tol_eq)
+        return
+    i, j = want
+    with pytest.raises(CompatibilityViolation) as err:
+        Configuration(pts, tol_eq)
+    assert err.value.pair == want
+    assert str(err.value) == f"points {i} and {j} coincide within tol_eq={tol_eq:g}"
+    with pytest.raises(CompatibilityViolation) as err:
+        canonicalize(pts, tol_eq)
+    assert err.value.pair == tuple(sorted((int(order[i]), int(order[j]))))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_dense_cluster_is_rejected_without_listing_its_pairs(dim):
+    # 10^4 distinct points within 1e-12 of each other: all 5e7 pairs lie
+    # within tol_eq, so a check that lists them (query_pairs) is quadratic
+    pts = np.random.default_rng(0).uniform(0.0, 1e-12, size=(10_000, dim))
+    start = time.perf_counter()
+    with pytest.raises(CompatibilityViolation) as err:
+        Configuration(pts)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.pair == distinctness_oracle(pts, DEFAULT_TOL_EQ)
 
 
 def test_a_pile_of_coincident_points_is_rejected_at_once():
