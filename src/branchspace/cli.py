@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -23,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOL_EQ, configuration_from_dict, load_file
+from .config import DEFAULT_TOL_EQ, _check_integer, _check_positive, as_point, configuration_from_dict, load_file
 from .charts import build_chart, chart_to_dict
-from .errors import BranchSpaceError
 from .hausdorff import (
     DEFAULT_MERGE_TOL,
     benchmark,
@@ -36,7 +34,7 @@ from .hausdorff import (
     trajectory_from_dict,
     two_particle_merge_trajectory,
 )
-from .logistic import DEFAULT_ORBIT_TOL, MAX_PERIODS
+from .logistic import DEFAULT_ORBIT_TOL, MAX_PERIODS, _validate_parameter
 from .measure import (
     DEFAULT_TOL_SUPP,
     make_growing_bump_path,
@@ -46,6 +44,7 @@ from .measure import (
     validate_constant_volume_path,
 )
 from .paths import (
+    DEFAULT_JET_ORDER,
     MAX_JET_ORDER,
     MIN_INTERVALS,
     BranchedPath,
@@ -123,42 +122,22 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def tolerance(text: str) -> float:
-    """argparse type of the tolerance flags: a finite number > 0."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
+def checked(convert, check, *args):
+    """argparse type that converts the text and runs the library's check
+    on the value, check(value, *args). The check's ValueError is raised
+    again as argparse's own error, which names the flag; the type keeps
+    convert's name, so text that convert rejects reads `invalid int value: 'x'`."""
 
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value, *args)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return value
 
-def finite(text: str) -> float:
-    """argparse type of the coordinate and parameter flags: a finite number."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _integer_at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-    return value
-
-
-def count(text: str) -> int:
-    """argparse type of the size flags: an integer >= 1."""
-    return _integer_at_least(text, 1)
-
-
-def sweep_steps(text: str) -> int:
-    """argparse type of bifurcate --steps: an integer >= 2 (both ends of the range)."""
-    return _integer_at_least(text, 2)
-
-
-def seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0."""
-    return _integer_at_least(text, 0)
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def parse_linear_field(expr: str):
@@ -326,6 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command")
+    # a flag's value meets the library's own rule for it
+    tolerance = checked(float, _check_positive, "the value")
+    count, seed, sweep_steps = (checked(int, _check_integer, "the value", low) for low in (1, 0, 2))
+    parameter = checked(float, _validate_parameter)
+    coordinate = checked(float, as_point)  # --x-min, --x-max and --perturb
 
     def command(name: str, func, help: str, formats: tuple[str, ...] = ()) -> argparse.ArgumentParser:
         """A subcommand with --output and, for several outputs, --format
@@ -382,14 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
         "branched-path", cmd_branched_path, "validate a branched path; report junction jets", ("json", "dot")
     )
     _, input_ = demo_or_input(p, ["paper-circle"], "branched path JSON file")
-    mode_flag(p, input_, "--perturb", type=finite, default=0.0, help="translate the demo's final segment in y")
+    mode_flag(p, input_, "--perturb", type=coordinate, default=0.0, help="translate the demo's final segment in y")
     mode_flag(p, input_, "--samples", type=count, default=256, help="samples per demo segment")
-    p.add_argument("--jet-order", dest="jet_order", type=int, choices=range(1, MAX_JET_ORDER + 1), default=3)
+    p.add_argument(
+        "--jet-order", dest="jet_order", type=int, choices=range(1, MAX_JET_ORDER + 1), default=DEFAULT_JET_ORDER
+    )
     add_tol_eq(p)
 
     p = command("bifurcate", cmd_bifurcate, "attractor sweep for diagram plotting", ("csv", "json"))
-    p.add_argument("--a-min", dest="a_min", type=finite, required=True)
-    p.add_argument("--a-max", dest="a_max", type=finite, required=True)
+    p.add_argument("--a-min", dest="a_min", type=parameter, required=True)
+    p.add_argument("--a-max", dest="a_max", type=parameter, required=True)
     p.add_argument("--steps", type=sweep_steps, required=True)
     p.add_argument("--max-period", dest="max_period", type=int, choices=MAX_PERIODS, default=MAX_PERIODS[-1])
     p.add_argument("--orbit-tol", dest="orbit_tol", type=tolerance, default=DEFAULT_ORBIT_TOL)
@@ -397,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("section", cmd_section, "equilibrium section over a parameter field")
     p.add_argument("--field", required=True, help="linear field, e.g. '2.5+1.0*x'")
     p.add_argument("--grid-n", dest="grid_n", type=count, default=101)
-    p.add_argument("--x-min", dest="x_min", type=finite, default=0.0)
-    p.add_argument("--x-max", dest="x_max", type=finite, default=1.0)
+    p.add_argument("--x-min", dest="x_min", type=coordinate, default=0.0)
+    p.add_argument("--x-max", dest="x_max", type=coordinate, default=1.0)
     p.add_argument("--max-period", dest="max_period", type=int, choices=MAX_PERIODS, default=MAX_PERIODS[-1])
     p.add_argument("--orbit-tol", dest="orbit_tol", type=tolerance, default=DEFAULT_ORBIT_TOL)
 
@@ -432,7 +418,7 @@ def main(argv=None) -> int:
     except OSError as err:
         sys.stderr.write(f"{args.command}: i/o error: {err}\n")
         return IO_ERROR
-    except (BranchSpaceError, ValueError) as err:
+    except ValueError as err:
         sys.stderr.write(f"{args.command}: invalid input: {err}\n")
         return PARSE_ERROR
 

@@ -1,11 +1,11 @@
 """Exception hierarchy for branchspace.
 
-Every domain error derives from BranchSpaceError so callers can catch the
-library's failures with a single except clause.
+Every domain error derives from BranchSpaceError, a ValueError: each one
+is an invalid value, so `except ValueError` catches every bad input.
 """
 
 
-class BranchSpaceError(Exception):
+class BranchSpaceError(ValueError):
     """Base class for all branchspace errors."""
 
 

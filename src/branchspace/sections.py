@@ -20,8 +20,10 @@ from .config import Configuration, _check_integer, as_point_array, frozen
 from .errors import NonConstantCardinality, ParameterOutOfRange
 from .logistic import (
     DEFAULT_ORBIT_TOL,
+    MAX_PERIODS,
     Chaotic,
     PeriodicOrbit,
+    _validate_parameter,
     bifurcation_points,
     logistic_attractor,
 )
@@ -117,7 +119,7 @@ def _doubling_parameter(card_lo: int, card_hi: int) -> float | None:
 def branched_equilibrium_section(
     a_field: Callable[[np.ndarray], float],
     grid,
-    max_period: int = 64,
+    max_period: int = MAX_PERIODS[-1],
     orbit_tol: float = DEFAULT_ORBIT_TOL,
 ) -> tuple[BranchedSectionSample, list[BranchLocus]]:
     """Equilibrium section of the logistic map over a sampled base.
@@ -133,11 +135,11 @@ def branched_equilibrium_section(
     params = np.empty(pts.shape[0])
     fibers: list[Configuration | None] = []
     for i, g in enumerate(pts):
-        a = float(a_field(g))
-        if not 0.0 < a <= 4.0:
-            raise ParameterOutOfRange(f"field value {a} at grid point {i} outside (0, 4]")
-        params[i] = a
-        att = logistic_attractor(a, max_period=max_period, orbit_tol=orbit_tol)
+        try:
+            params[i] = _validate_parameter(a_field(g))
+        except ParameterOutOfRange as err:
+            raise ParameterOutOfRange(f"grid point {i}: {err}") from None
+        att = logistic_attractor(params[i], max_period=max_period, orbit_tol=orbit_tol)
         if isinstance(att, Chaotic):
             fibers.append(None)
         else:
@@ -253,7 +255,7 @@ def bifurcation_rows(
     a_min: float,
     a_max: float,
     steps: int,
-    max_period: int = 64,
+    max_period: int = MAX_PERIODS[-1],
     orbit_tol: float = DEFAULT_ORBIT_TOL,
 ) -> list[tuple[float, float]]:
     """(parameter, orbit point) rows of the attractor sweep, for diagram

@@ -190,6 +190,10 @@ def test_bad_count_exits_2_naming_the_flag(capsys, command, flag, value):
         # fewer intervals than a segment needs, and than an order-3 jet needs
         ("branched-path", "--samples", "7"),
         ("branched-path", "--samples", "11"),
+        # a swept parameter lies in (0, 4]
+        ("bifurcate", "--a-min", "5"),
+        ("bifurcate", "--a-max", "0"),
+        ("bifurcate", "--a-min", "4.5"),
         # a sweep includes both ends of its range
         ("bifurcate", "--steps", "1"),
         ("bifurcate", "--steps", "0"),
@@ -204,6 +208,28 @@ def test_bad_value_exits_2_naming_the_flag(capsys, command, flag, value):
         main(BASE_ARGV[command] + [flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("bifurcate", "--steps", "1", "the value must be at least 2, got 1"),
+        ("hausdorff", "--seed", "-1", "the value must be at least 0, got -1"),
+        ("section", "--grid-n", "0", "the value must be at least 1, got 0"),
+        ("chart", "--tol-eq", "0", "the value must be finite and positive, got 0.0"),
+        ("bifurcate", "--orbit-tol", "nan", "the value must be finite and positive, got nan"),
+        ("bifurcate", "--a-max", "5", "parameter must lie in (0, 4], got 5.0"),
+        ("bifurcate", "--a-min", "0", "parameter must lie in (0, 4], got 0.0"),
+        # not a number: argparse's own message, with the converter's name
+        ("hausdorff", "--bench", "x", "invalid int value: 'x'"),
+        ("measure", "--tol-supp", "x", "invalid float value: 'x'"),
+    ],
+)
+def test_a_bad_flag_reads_the_library_rule(capsys, command, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + [flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
@@ -351,6 +377,13 @@ BAD_DIM = [
     *[(["measure", "--frames", "{frames}", "--region", "{bad}"], dict(GRID_2, dims=dims))
       for dims in ([2.9, 1.5], [-1, 2], [-2, -1])],
 ]
+# points that coincide: a domain error of the content, named with the file too
+PILE = {"dim": 2, "points": [[0.5, 0.5]] * 3}
+COINCIDE = [
+    (["hausdorff", "{bad}", "{bad}"], PILE),
+    (["chart", "--input", "{bad}"], PILE),
+    (["simulate", "--input", "{bad}"], {"times": [0.0, 1.0], "frames": [PILE, PILE]}),
+]
 
 
 @pytest.mark.parametrize(
@@ -375,6 +408,7 @@ BAD_DIM = [
         (["branched-path", "--input", "{bad}"], {}),
         (["measure", "--frames", "{frames}", "--region", "{bad}"], {k: GOOD_GRID[k] for k in ("dims", "h", "values")}),
         (["measure", "--frames", "{frames}", "--region", "{bad}"], "3\n0.1\n"),
+        *COINCIDE,
     ],
 )
 def test_a_wrong_shaped_input_file_exits_2_naming_it(capsys, tmp_path, argv, content):
@@ -391,6 +425,8 @@ def test_a_wrong_shaped_input_file_exits_2_naming_it(capsys, tmp_path, argv, con
     assert f"invalid input: {files['bad']}: " in err
     if (argv, content) in BAD_DIM:
         assert f"{files['bad']}: {'dims' if 'dims' in content else 'dim'} must be" in err
+    if (argv, content) in COINCIDE:
+        assert f"{files['bad']}: points 0 and 1 coincide" in err
 
 
 # JSON true and false where a number belongs; float() reads them as 1 and 0,

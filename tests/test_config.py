@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from branchspace import (
     DEFAULT_TOL_EQ,
     CompatibilityViolation,
     Configuration,
+    DuplicatePoints,
     EmptyConfiguration,
     LocallyFiniteConfiguration,
     OrderedConfiguration,
@@ -25,6 +28,7 @@ from branchspace import (
     symmetrize,
     validate,
 )
+from branchspace import config
 from branchspace.charts import Chart, build_chart, chart_invert, separations
 from branchspace.config import as_point_array, canonical_order, read_json, write_json
 from branchspace.hausdorff import (
@@ -255,6 +259,23 @@ def test_a_pile_of_coincident_points_is_rejected_at_once():
     with pytest.raises(CompatibilityViolation) as err:
         Configuration(pts)
     assert err.value.pair == (0, 1)
+
+
+@pytest.mark.parametrize("build", [Configuration, separations, build_chart])
+def test_a_pile_of_equal_points_is_one_kd_tree_row(monkeypatch, build):
+    # a kd-tree cannot split a pile, so a pile reaching the tree is slow
+    # at any size: the test counts rows instead of timing them
+    rows = []
+
+    class Recording(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            rows.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(config, "cKDTree", Recording)
+    with contextlib.suppress(CompatibilityViolation, DuplicatePoints):
+        build(np.zeros((10_000, 2)))
+    assert rows == [1]
 
 
 def test_equal_configurations_are_one_set_member():

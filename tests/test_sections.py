@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,14 @@ def test_chaotic_region_flagged_not_fabricated():
 def test_field_out_of_range_rejected():
     with pytest.raises(ParameterOutOfRange):
         branched_equilibrium_section(lambda p: 4.5, line_grid(3))
+
+
+@pytest.mark.parametrize("a", [0.0, 5.0, np.nan])
+def test_a_field_value_out_of_range_names_its_grid_point(a):
+    # the attractor's own parameter rule, with the grid point in front
+    field = lambda p: a if p[0] > 0.6 else 3.0
+    with pytest.raises(ParameterOutOfRange, match=re.escape(f"grid point 2: parameter must lie in (0, 4], got {a}")):
+        branched_equilibrium_section(field, line_grid(4))
 
 
 # ---------------------------------------------------------------------------
