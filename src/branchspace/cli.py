@@ -297,8 +297,21 @@ def cmd_measure(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative number as a value, not
+    as a flag: argparse itself takes -1 and -.5 so, but not -1e-3 or -inf.
+    Subcommand parsers are made of the same class."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="branchspace", description=__doc__)
+    parser = _Parser(prog="branchspace", description=__doc__)
     parser.add_argument("--version", action="version", version=f"branchspace {__version__}")
     parser.add_argument(
         "--schema", action="store_true", help="dump the JSON/CSV file schemas and exit"

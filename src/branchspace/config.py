@@ -192,17 +192,31 @@ def separations(u) -> np.ndarray:
 def _sorted_separations(rows: np.ndarray, radius: float = math.inf) -> np.ndarray:
     """separations of at least two rows already in canonical order, inf beyond radius.
 
+    A pair within radius has first coordinates within radius, and so has
+    each pair of sorted neighbours between them (the sweep filter of
+    Shamos and Hoey). So only the rows within radius of a sorted neighbour
+    on the first axis reach the kd-tree, and the rest read inf; with no
+    such row no tree is built, and at radius inf every row reaches it.
     A kd-tree cannot split a pile of equal points, so the rows equal to
     their neighbour are collapsed first and one query runs over the
     distinct rows only: O(n log n) at every n."""
+    sep = np.full(rows.shape[0], math.inf)
+    close = np.diff(rows[:, 0]) <= radius
+    near = np.zeros(rows.shape[0], dtype=bool)
+    near[1:] = close
+    near[:-1] |= close
+    if not near.any():
+        return sep
+    rows = rows[near]
     new = np.ones(rows.shape[0], dtype=bool)
     new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     pile = np.cumsum(new) - 1  # each row's distinct row
     distinct = rows[new]
     dist, _ = cKDTree(distinct).query(distinct, k=2, distance_upper_bound=radius)
-    sep = dist[:, 1]
-    sep[np.bincount(pile) > 1] = 0.0
-    return sep[pile]
+    nearest = dist[:, 1]
+    nearest[np.bincount(pile) > 1] = 0.0
+    sep[near] = nearest[pile]
+    return sep
 
 
 def _check_distinct(points: np.ndarray, tol_eq: float) -> None:
@@ -210,7 +224,9 @@ def _check_distinct(points: np.ndarray, tol_eq: float) -> None:
     least separation must be further than tol_eq from the rest. Otherwise
     its pair with its nearest point is reported, i < j; for a pile of
     equal sorted points that is the pile's first two rows. The search stops
-    at 2 tol_eq: a distance within tol_eq, and so the pair, is exact."""
+    at 2 tol_eq: a distance within tol_eq, and so the pair, is exact. Only
+    the rows within 2 tol_eq of a sorted neighbour on the first axis reach
+    the kd-tree, so a cloud without near-ties on that axis builds none."""
     if points.shape[0] < 2:
         return
     sep = _sorted_separations(points, max(2.0 * tol_eq, _MIN_RADIUS))
@@ -302,9 +318,19 @@ def configuration_to_dict(u: PointTuple) -> dict:
 
 
 def _points_from_dict(obj: dict) -> np.ndarray:
-    """The points of {"dim": d, "points": [[...], ...]}, d an integer."""
+    """The points of {"dim": d, "points": [[...], ...]}, d an integer; a value
+    of another shape is a ValueError that says what is wrong with it."""
+    if not isinstance(obj, dict):
+        kind = "null" if obj is None else type(obj).__name__
+        raise ValueError(f'expected an object with "dim" and "points", got {kind}')
+    for key in ("dim", "points"):
+        if key not in obj:
+            raise ValueError(f'an object of points needs "{key}"')
     _check_integer(obj["dim"], "dim")
-    return as_point_array(_numeric(obj["points"], "points"), dim=obj["dim"])
+    points = _numeric(obj["points"], "points")
+    if isinstance(points, list) and len({len(p) if isinstance(p, list) else 0 for p in points}) > 1:
+        raise ValueError("points must all have the same number of coordinates")
+    return as_point_array(points, dim=obj["dim"])
 
 
 def configuration_from_dict(obj: dict, tol_eq: float = DEFAULT_TOL_EQ) -> Configuration:

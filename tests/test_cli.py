@@ -220,6 +220,10 @@ def test_bad_value_exits_2_naming_the_flag(capsys, command, flag, value):
         ("bifurcate", "--orbit-tol", "nan", "the value must be finite and positive, got nan"),
         ("bifurcate", "--a-max", "5", "parameter must lie in (0, 4], got 5.0"),
         ("bifurcate", "--a-min", "0", "parameter must lie in (0, 4], got 0.0"),
+        # a negative number in any notation is a value, so its check speaks
+        ("bifurcate", "--a-max", "-inf", "parameter must lie in (0, 4], got -inf"),
+        ("bifurcate", "--a-min", "-1e-3", "parameter must lie in (0, 4], got -0.001"),
+        ("section", "--x-min", "-inf", "point coordinates must be finite"),
         # not a number: argparse's own message, with the converter's name
         ("hausdorff", "--bench", "x", "invalid int value: 'x'"),
         ("measure", "--tol-supp", "x", "invalid float value: 'x'"),
@@ -230,6 +234,22 @@ def test_a_bad_flag_reads_the_library_rule(capsys, command, flag, value, message
         main(BASE_ARGV[command] + [flag, value])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("section", "--x-min", "-1e-3"),
+        ("section", "--x-max", "-1E+0"),
+        ("branched-path", "--perturb", "-1e-12"),
+    ],
+)
+def test_a_negative_value_in_exponent_notation_is_a_separate_argument(capsys, command, flag, value):
+    # argparse alone reads -1e-3 as an unknown flag and exits 2
+    apart = run(capsys, *BASE_ARGV[command], flag, value)
+    joined = run(capsys, *BASE_ARGV[command], f"{flag}={value}")
+    assert apart == joined
+    assert apart[1]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
@@ -385,6 +405,21 @@ COINCIDE = [
     (["simulate", "--input", "{bad}"], {"times": [0.0, 1.0], "frames": [PILE, PILE]}),
 ]
 
+# a configuration, trajectory frame or chart base that is not an object of
+# points, named in the message; these used to print Python's own
+# subscripting error or numpy's inhomogeneous-shape text
+NAMED_SHAPE = [
+    (["hausdorff", "{bad}", "{good}"], [[0.0], [1.0]], 'expected an object with "dim" and "points", got list'),
+    (["simulate", "--input", "{bad}"], {"times": [0.0, 1.0], "frames": [{"dim": 1, "points": [[0.0]]}, None]},
+     'expected an object with "dim" and "points", got null'),
+    (["chart", "--input", "{bad}"], {"points": [[0.0], [1.0]]}, 'an object of points needs "dim"'),
+    (["hausdorff", "{bad}", "{good}"], {"dim": 1}, 'an object of points needs "points"'),
+    (["chart", "--input", "{bad}"], {"dim": 2, "points": [[0.0, 0.0], [1.0]]},
+     "points must all have the same number of coordinates"),
+    (["simulate", "--input", "{bad}"], {"times": [0.0], "frames": [{"dim": 1, "points": [[0.0], 1.0]}]},
+     "points must all have the same number of coordinates"),
+]
+
 
 @pytest.mark.parametrize(
     "argv, content",
@@ -409,6 +444,7 @@ COINCIDE = [
         (["measure", "--frames", "{frames}", "--region", "{bad}"], {k: GOOD_GRID[k] for k in ("dims", "h", "values")}),
         (["measure", "--frames", "{frames}", "--region", "{bad}"], "3\n0.1\n"),
         *COINCIDE,
+        *[(argv, content) for argv, content, _ in NAMED_SHAPE],
     ],
 )
 def test_a_wrong_shaped_input_file_exits_2_naming_it(capsys, tmp_path, argv, content):
@@ -427,6 +463,9 @@ def test_a_wrong_shaped_input_file_exits_2_naming_it(capsys, tmp_path, argv, con
         assert f"{files['bad']}: {'dims' if 'dims' in content else 'dim'} must be" in err
     if (argv, content) in COINCIDE:
         assert f"{files['bad']}: points 0 and 1 coincide" in err
+    for shape in NAMED_SHAPE:
+        if shape[:2] == (argv, content):
+            assert f"{files['bad']}: {shape[2]}\n" in err
 
 
 # JSON true and false where a number belongs; float() reads them as 1 and 0,

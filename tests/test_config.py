@@ -202,16 +202,21 @@ def distinctness_oracle(pts, tol_eq):
 @st.composite
 def distinctness_cases(draw):
     """Integer cells at a spacing near tol_eq (at most 1e100, so no square
-    overflows), a pile of copies of the first cell, and a pair at tol_eq or
-    one ulp either side of it: 0 and -gap on the first axis, an exact
+    overflows), maybe all on the first coordinate of the first cell, so
+    that only later coordinates tell them apart, a pile of copies of the
+    first cell, and a pair at tol_eq or 2 tol_eq (the search radius) or one
+    ulp either side of either: 0 and -gap on the first axis, an exact
     distance, as the cells are not negative."""
     tol_eq = draw(st.sampled_from([DEFAULT_TOL_EQ, 1.0, 1e-160, 1e-200, 1e200]))
     dim = draw(st.integers(1, 3))
     cells = draw(st.lists(st.tuples(*[st.integers(0, 4)] * dim), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        cells = [(cells[0][0], *cell[1:]) for cell in cells]
     cells += [cells[0]] * draw(st.integers(0, 3))
     pts = np.array(cells, dtype=float) * min(tol_eq * draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])), 1e100)
     if tol_eq < 1e100 and draw(st.booleans()):
-        gap = draw(st.sampled_from([np.nextafter(tol_eq, 0.0), tol_eq, np.nextafter(tol_eq, np.inf)]))
+        edge = draw(st.sampled_from([tol_eq, 2.0 * tol_eq]))
+        gap = draw(st.sampled_from([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]))
         pair = np.zeros((2, dim))
         pair[1, 0] = -gap
         pts = np.vstack([pts, pair])
@@ -239,6 +244,26 @@ def test_the_bounded_distinctness_check_matches_the_full_search(case):
     with pytest.raises(CompatibilityViolation) as err:
         canonicalize(pts, tol_eq)
     assert err.value.pair == tuple(sorted((int(order[i]), int(order[j]))))
+
+
+def bounded_separations_oracle(rows, radius):
+    """Each row's separation as a kd-tree over every distinct row reports it
+    within radius (0 for a row with an exact copy): the search with no
+    filter in front of it."""
+    distinct, pile, count = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    dist, _ = cKDTree(distinct).query(distinct, k=2, distance_upper_bound=radius)
+    return np.where(count > 1, 0.0, dist[:, 1])[pile.reshape(-1)]
+
+
+@given(distinctness_cases())
+@settings(deadline=None, max_examples=300)
+def test_the_sweep_filter_keeps_every_separation_within_the_radius(case):
+    pts, tol_eq = case
+    if pts.shape[0] < 2:
+        return
+    rows = pts[canonical_order(pts)]
+    for radius in (max(2.0 * tol_eq, config._MIN_RADIUS), math.inf):
+        assert np.array_equal(config._sorted_separations(rows, radius), bounded_separations_oracle(rows, radius))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -276,6 +301,35 @@ def test_a_pile_of_equal_points_is_one_kd_tree_row(monkeypatch, build):
     with contextlib.suppress(CompatibilityViolation, DuplicatePoints):
         build(np.zeros((10_000, 2)))
     assert rows == [1]
+
+
+@pytest.fixture
+def tree_rows(monkeypatch):
+    """The row count of each kd-tree that the config module builds."""
+    rows = []
+
+    class Recording(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            rows.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(config, "cKDTree", Recording)
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_cloud_without_near_ties_on_the_first_axis_builds_no_kd_tree(tree_rows, dim):
+    # the least of 10^4 gaps between sorted uniform first coordinates on
+    # [0, 1000] is about 1e3 / 1e8 = 1e-5, far beyond the radius 2 tol_eq
+    Configuration(np.random.default_rng(0).uniform(0.0, 1e3, size=(10_000, dim)))
+    assert tree_rows == []
+
+
+def test_a_lattice_sends_every_row_to_the_kd_tree(tree_rows):
+    # each first coordinate is shared by 100 points, so no row is ruled out
+    lattice = np.array(list(itertools.product(range(100), repeat=2)), dtype=float)
+    assert len(Configuration(lattice)) == 10_000
+    assert tree_rows == [10_000]
 
 
 def test_equal_configurations_are_one_set_member():
