@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import CompatibilityViolation, EmptyConfiguration, SingletonConfiguration, StratumTooLarge
+from .errors import BranchSpaceError, CompatibilityViolation, EmptyConfiguration, SingletonConfiguration, StratumTooLarge
 
 DEFAULT_TOL_EQ = 1e-9
 MAX_STRATUM = 9
@@ -317,12 +317,16 @@ def configuration_to_dict(u: PointTuple) -> dict:
     return {"dim": u.dimension, "points": u.points.tolist()}
 
 
+def _kind(value) -> str:
+    """The type of a value read from a file, for a message: null or a Python type name."""
+    return "null" if value is None else type(value).__name__
+
+
 def _points_from_dict(obj: dict) -> np.ndarray:
     """The points of {"dim": d, "points": [[...], ...]}, d an integer; a value
     of another shape is a ValueError that says what is wrong with it."""
     if not isinstance(obj, dict):
-        kind = "null" if obj is None else type(obj).__name__
-        raise ValueError(f'expected an object with "dim" and "points", got {kind}')
+        raise ValueError(f'expected an object with "dim" and "points", got {_kind(obj)}')
     for key in ("dim", "points"):
         if key not in obj:
             raise ValueError(f'an object of points needs "{key}"')
@@ -351,6 +355,17 @@ def load_file(parse, path, read=read_json, **kw):
         return parse(read(path), **kw)
     except (KeyError, TypeError, IndexError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from err
+
+
+def _at(where: str, parse, value, **kw):
+    """parse(value, **kw), naming where value sits in its file when it has the
+    wrong shape; a BranchSpaceError, a fault of the content, passes as it is."""
+    try:
+        return parse(value, **kw)
+    except BranchSpaceError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as err:
+        raise ValueError(f"{where}: {err}") from err
 
 
 def write_json(obj, path) -> None:

@@ -24,6 +24,7 @@ from scipy.spatial.distance import cdist, directed_hausdorff
 from .config import (
     Configuration,
     DEFAULT_TOL_EQ,
+    _at,
     _check_integer,
     _check_positive,
     _numeric,
@@ -207,7 +208,7 @@ def trajectory_to_dict(traj: Sequence[tuple[float, Configuration]]) -> dict:
 
 def trajectory_from_dict(obj: dict, tol_eq: float = DEFAULT_TOL_EQ) -> list[tuple[float, Configuration]]:
     times = [float(t) for t in _numeric(obj["times"], "times")]
-    frames = [configuration_from_dict(f, tol_eq=tol_eq) for f in obj["frames"]]
+    frames = [_at(f"frames[{j}]", configuration_from_dict, f, tol_eq=tol_eq) for j, f in enumerate(obj["frames"])]
     if len(times) != len(frames):
         raise ValueError("times and frames must have equal length")
     return list(zip(times, frames))

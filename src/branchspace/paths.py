@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOL_EQ, _check_integer, _check_positive, _numeric, as_point_array, frozen
+from .config import DEFAULT_TOL_EQ, _at, _check_integer, _check_positive, _kind, _numeric, as_point_array, frozen
 from .errors import EndpointMismatch, InsufficientResolution
 from .hausdorff import hausdorff_distance
 
@@ -203,11 +203,13 @@ class BranchedPath:
         out = []
         for i in range(len(self.stages) - 1):
             points, k, labels = self._boundary(i)
-            for e in np.sort(np.unique(labels[:k], return_index=True)[1]):
-                incoming = tuple(g for g, c in zip(self.stages[i], labels[:k]) if c == labels[e])
-                outgoing = tuple(g for g, c in zip(self.stages[i + 1], labels[k:]) if c == labels[e])
-                if outgoing:
-                    out.append(Junction(i, frozen(points[e]), incoming, outgoing))
+            groups = {}  # component of an end -> (its lowest-index end, incoming, outgoing)
+            for j, (g, c) in enumerate(zip(self.stages[i] + self.stages[i + 1], labels.tolist())):
+                if j < k:
+                    groups.setdefault(c, (j, [], []))[1].append(g)
+                elif c in groups:
+                    groups[c][2].append(g)
+            out += [Junction(i, frozen(points[e]), tuple(a), tuple(b)) for e, a, b in groups.values() if b]
         return out
 
 
@@ -230,12 +232,13 @@ def validate_branched(bp: BranchedPath) -> BranchedPathReport:
     holds an end and a start (a failure's gap is their Hausdorff distance).
     """
     for i, stage in enumerate(bp.stages):
-        for a in range(len(stage)):
-            for b in range(a + 1, len(stage)):
-                if not segments_compatible(stage[a], stage[b], bp.tol_eq):
-                    return BranchedPathReport(
-                        False, f"segments {a} and {b} of stage {i} are incompatible", i, None
-                    )
+        # an incompatible pair has both ends within tol_eq, so within it on
+        # every axis (a norm is never below its largest coordinate); the
+        # margin is slack for rounding
+        ends = cKDTree([np.concatenate([g.alpha, g.omega]) for g in stage])
+        for a, b in sorted(ends.query_pairs(bp.tol_eq * (1 + 1e-12), p=np.inf)):
+            if not segments_compatible(stage[a], stage[b], bp.tol_eq):
+                return BranchedPathReport(False, f"segments {a} and {b} of stage {i} are incompatible", i, None)
     for i in range(len(bp.stages) - 1):
         _, k, labels = bp._boundary(i)
         if not np.array_equal(np.unique(labels[:k]), np.unique(labels[k:])):
@@ -368,19 +371,34 @@ def branched_path_to_dict(bp: BranchedPath) -> dict:
     return {"stages": [[seg_dict(g) for g in stage] for stage in bp.stages]}
 
 
+def _segment_from_dict(g: dict) -> PathSegment:
+    """The segment {"samples": [[t, point], ...]}, its t on the uniform grid k/m."""
+    if not isinstance(g, dict):
+        raise ValueError(f'expected a segment object with "samples", got {_kind(g)}')
+    if "samples" not in g:
+        raise ValueError('a segment needs "samples"')
+    samples = _numeric(g["samples"], "samples")
+    pairs = isinstance(samples, (list, tuple)) and all(isinstance(s, (list, tuple)) and len(s) == 2 for s in samples)
+    if not pairs:
+        raise ValueError("samples must be a list of [t, point] pairs")
+    ts = np.asarray([s[0] for s in samples], dtype=float)
+    m = len(samples) - 1
+    if m < 1 or not np.allclose(ts, np.arange(m + 1) / m, atol=1e-12):
+        raise ValueError("segment samples must sit on the uniform grid k/m")
+    return PathSegment([s[1] for s in samples])
+
+
 def branched_path_from_dict(obj: dict) -> BranchedPath:
-    stages = []
-    for stage in obj["stages"]:
-        segs = []
-        for g in stage:
-            samples = _numeric(g["samples"], "samples")
-            ts = np.asarray([s[0] for s in samples], dtype=float)
-            m = len(samples) - 1
-            if m < 1 or not np.allclose(ts, np.arange(m + 1) / m, atol=1e-12):
-                raise ValueError("segment samples must sit on the uniform grid k/m")
-            segs.append(PathSegment([s[1] for s in samples]))
-        stages.append(segs)
-    return BranchedPath(stages)
+    stages = obj["stages"]
+    if not isinstance(stages, (list, tuple)):
+        raise ValueError(f'"stages" must be a list of stages, got {_kind(stages)}')
+    for i, stage in enumerate(stages):
+        if not isinstance(stage, (list, tuple)):
+            raise ValueError(f"stages[{i}]: expected a list of segments, got {_kind(stage)}")
+    return BranchedPath([
+        [_at(f"stages[{i}][{j}]", _segment_from_dict, g) for j, g in enumerate(stage)]
+        for i, stage in enumerate(stages)
+    ])
 
 
 def branched_path_to_dot(bp: BranchedPath) -> str:

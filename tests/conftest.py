@@ -5,8 +5,19 @@ from hypothesis.errors import InvalidArgument
 
 from scipy.spatial import cKDTree
 
-from branchspace import BranchedPath, Configuration, LengthMismatch, NonConstantCardinality, NotInDomain, PathSegment
-from branchspace.config import DEFAULT_TOL_EQ, as_point_array
+from branchspace import (
+    BranchedPath,
+    BranchedPathReport,
+    Configuration,
+    Junction,
+    LengthMismatch,
+    NonConstantCardinality,
+    NotInDomain,
+    PathSegment,
+    hausdorff_distance,
+)
+from branchspace.config import DEFAULT_TOL_EQ, as_point_array, frozen
+from branchspace.paths import segments_compatible
 from branchspace.sections import GAP_RATIO, Decomposition, ThreadingWitness
 
 # `--hypothesis-profile=ci` (the CI tier-1 step): a failing property prints
@@ -54,6 +65,44 @@ def _samples_to_polyline(samples: np.ndarray, poly: np.ndarray) -> float:
         proj = a + t[:, None] * ab
         worst = max(worst, float(np.min(np.sqrt(np.sum((proj - p) ** 2, axis=1)))))
     return worst
+
+
+def validate_branched_loop(bp: BranchedPath) -> BranchedPathReport:
+    """Every pair of segments of a stage compared in (a, b) order, then the
+    gluing condition: the oracle of `paths.validate_branched`, which compares
+    only the pairs whose ends a kd-tree finds within tol_eq."""
+    for i, stage in enumerate(bp.stages):
+        for a in range(len(stage)):
+            for b in range(a + 1, len(stage)):
+                if not segments_compatible(stage[a], stage[b], bp.tol_eq):
+                    return BranchedPathReport(
+                        False, f"segments {a} and {b} of stage {i} are incompatible", i, None
+                    )
+    for i in range(len(bp.stages) - 1):
+        _, k, labels = bp._boundary(i)
+        if not np.array_equal(np.unique(labels[:k]), np.unique(labels[k:])):
+            return BranchedPathReport(
+                False,
+                f"stage {i} endpoints do not match stage {i + 1} start points",
+                i,
+                hausdorff_distance(bp.omega_config(i), bp.alpha_config(i + 1)),
+            )
+    return BranchedPathReport(True)
+
+
+def junctions_loop(bp: BranchedPath) -> list[Junction]:
+    """Both stages of a boundary scanned once per component of an end: the
+    oracle of `BranchedPath.junctions`, which files each segment under its
+    component in one pass."""
+    out = []
+    for i in range(len(bp.stages) - 1):
+        points, k, labels = bp._boundary(i)
+        for e in np.sort(np.unique(labels[:k], return_index=True)[1]):
+            incoming = tuple(g for g, c in zip(bp.stages[i], labels[:k]) if c == labels[e])
+            outgoing = tuple(g for g, c in zip(bp.stages[i + 1], labels[k:]) if c == labels[e])
+            if outgoing:
+                out.append(Junction(i, frozen(points[e]), incoming, outgoing))
+    return out
 
 
 def revisit_path(m=64):

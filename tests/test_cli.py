@@ -406,18 +406,27 @@ COINCIDE = [
 ]
 
 # a configuration, trajectory frame or chart base that is not an object of
-# points, named in the message; these used to print Python's own
-# subscripting error or numpy's inhomogeneous-shape text
+# points, named in the message (a frame by its index); these used to print
+# Python's own subscripting error or numpy's inhomogeneous-shape text
 NAMED_SHAPE = [
     (["hausdorff", "{bad}", "{good}"], [[0.0], [1.0]], 'expected an object with "dim" and "points", got list'),
     (["simulate", "--input", "{bad}"], {"times": [0.0, 1.0], "frames": [{"dim": 1, "points": [[0.0]]}, None]},
-     'expected an object with "dim" and "points", got null'),
+     'frames[1]: expected an object with "dim" and "points", got null'),
     (["chart", "--input", "{bad}"], {"points": [[0.0], [1.0]]}, 'an object of points needs "dim"'),
     (["hausdorff", "{bad}", "{good}"], {"dim": 1}, 'an object of points needs "points"'),
     (["chart", "--input", "{bad}"], {"dim": 2, "points": [[0.0, 0.0], [1.0]]},
      "points must all have the same number of coordinates"),
     (["simulate", "--input", "{bad}"], {"times": [0.0], "frames": [{"dim": 1, "points": [[0.0], 1.0]}]},
-     "points must all have the same number of coordinates"),
+     "frames[0]: points must all have the same number of coordinates"),
+    # a branched path names the stage and the segment
+    (["branched-path", "--input", "{bad}"], {"stages": [[SEGMENT_1D, {"points": [[0.0]]}]]},
+     'stages[0][1]: a segment needs "samples"'),
+    (["branched-path", "--input", "{bad}"], {"stages": [[SEGMENT_1D], [{"samples": [[0.0, [0.0]], [1.0]]}]]},
+     "stages[1][0]: samples must be a list of [t, point] pairs"),
+    (["branched-path", "--input", "{bad}"], {"stages": [[SEGMENT_1D], 5]}, "stages[1]: expected a list of segments, got int"),
+    (["branched-path", "--input", "{bad}"], {"stages": 5}, '"stages" must be a list of stages, got int'),
+    (["branched-path", "--input", "{bad}"], {"stages": [[SEGMENT_1D, None]]},
+     'stages[0][1]: expected a segment object with "samples", got null'),
 ]
 
 
@@ -491,7 +500,8 @@ def test_a_boolean_where_a_number_belongs_exits_2_naming_the_file(capsys, tmp_pa
     (files["frames"] / "frame.json").write_text(json.dumps(GOOD_GRID))
     code, out, err = run(capsys, *[arg.format(**files) for arg in argv])
     assert (code, out) == (2, "")
-    assert f"invalid input: {files['bad']}: {key} must be numeric, got a boolean" in err
+    where = "stages[0][0]: " if key == "samples" else ""
+    assert f"invalid input: {files['bad']}: {where}{key} must be numeric, got a boolean" in err
 
 
 # ---------------------------------------------------------------------------

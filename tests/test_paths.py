@@ -27,7 +27,7 @@ from branchspace.paths import (
     segments_compatible,
 )
 
-from conftest import dyadic_split_loop, revisit_path, segment_image_distance
+from conftest import dyadic_split_loop, junctions_loop, revisit_path, segment_image_distance, validate_branched_loop
 
 FX = lambda q: float(q[0])
 FY = lambda q: float(q[1])
@@ -490,6 +490,71 @@ def test_a_chain_of_starts_reaching_past_two_tolerances_glues():
     assert bp.alpha_config(1).tolist() == [[0.9e-9, 0.0]]
     ref = DedupPath(bp.stages, tol_eq)
     assert hausdorff_distance(ref.omega_config(0), ref.alpha_config(1)) > 2.0 * tol_eq
+
+
+# ---------------------------------------------------------------------------
+# stage pairs and junction members against the loops they replace
+# ---------------------------------------------------------------------------
+
+@st.composite
+def near_tie_paths(draw):
+    """1-3 stages of 1-8 segments in d = 1..3 whose ends sit at one of three
+    anchors plus an offset: none, or along one axis +-tol_eq, one ulp inside
+    or outside it, or 2 tol_eq (a chain through the tol_eq point), or in
+    d >= 2 tol_eq split over two axes, where the rounding of the norm
+    decides. Each image is straight or bowed by one of two amounts, or it is
+    an earlier segment of the stage shifted by an offset, which moves both
+    ends by it. So segments of a stage share an image when their ends are
+    near and their bows equal (exact duplicates included). A later stage
+    starts at ends of the stage before or anywhere."""
+    d = draw(st.integers(1, 3))
+    tol_eq = draw(st.sampled_from([1e-9, 1e-3, 1.0]))
+    near = [tol_eq, np.nextafter(tol_eq, 0.0), np.nextafter(tol_eq, np.inf), 2.0 * tol_eq]
+    offsets = [np.zeros(d)] + [s * x * e for e in np.eye(d) for s in (1.0, -1.0) for x in near]
+    offsets += [tol_eq * np.sqrt(0.5) * (np.eye(d)[0] + np.eye(d)[-1])] if d >= 2 else []
+    anchors = [np.zeros(d), 0.3 + 10.0 * np.eye(d)[0], np.full(d, -7.1)]
+    point = lambda: draw(st.sampled_from(anchors)) + draw(st.sampled_from(offsets))
+    stages, ends = [], None
+    for _ in range(draw(st.integers(1, 3))):
+        stage = []
+        for _ in range(draw(st.integers(1, 8))):
+            if stage and draw(st.integers(0, 3)) == 0:
+                stage.append(PathSegment(draw(st.sampled_from(stage)).values + draw(st.sampled_from(offsets))))
+                continue
+            start = point() if ends is None or draw(st.booleans()) else draw(st.sampled_from(ends))
+            stage.append(bowed(start, point(), draw(st.integers(-1, 1)), tol_eq))
+        ends = [g.omega for g in stage]
+        stages.append(stage)
+    return BranchedPath(stages, tol_eq)
+
+
+@given(near_tie_paths())
+@settings(deadline=None, max_examples=300)
+def test_stage_pairs_and_junction_members_match_the_loops(bp):
+    assert validate_branched(bp) == validate_branched_loop(bp)
+    members = lambda junctions: [(j.boundary, j.point.tolist(), j.incoming, j.outgoing) for j in junctions]
+    assert members(bp.junctions()) == members(junctions_loop(bp))
+
+
+def test_validation_compares_only_segments_that_share_both_ends(monkeypatch):
+    calls, compatible = [], paths.segments_compatible
+
+    def counted(g1, g2, tol_eq):
+        calls.append((g1, g2))
+        return compatible(g1, g2, tol_eq)
+
+    monkeypatch.setattr(paths, "segments_compatible", counted)
+    # a fan of 1000 segments from the origin: no two share an end, so none is
+    # compared (all 499500 pairs were)
+    rim = np.column_stack([np.cos(np.arange(1000) / 160), np.sin(np.arange(1000) / 160)])
+    assert validate_branched(BranchedPath([[line((0.0, 0.0), p, m=8) for p in rim]])).ok
+    assert calls == []
+    # only segments 1 and 2 share both ends (and an image): one comparison,
+    # where every pair of the three was compared
+    g = line((0.0, 0.0), (1.0, 0.0), m=8)
+    report = validate_branched(BranchedPath([[line((0.0, 0.0), (0.0, 1.0), m=8), g, g.resampled(16)]]))
+    assert (report.ok, report.reason) == (False, "segments 1 and 2 of stage 0 are incompatible")
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
