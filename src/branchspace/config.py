@@ -354,7 +354,7 @@ def load_file(parse, path, read=read_json, **kw):
     try:
         return parse(read(path), **kw)
     except (KeyError, TypeError, IndexError, ValueError) as err:
-        raise ValueError(f"{path}: {err}") from err
+        raise _shape_error(path, err) from err
 
 
 def _at(where: str, parse, value, **kw):
@@ -365,7 +365,12 @@ def _at(where: str, parse, value, **kw):
     except BranchSpaceError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as err:
-        raise ValueError(f"{where}: {err}") from err
+        raise _shape_error(where, err) from err
+
+
+def _shape_error(where, err: Exception) -> ValueError:
+    """err prefixed by where; a KeyError's text, the bare key, names the missing key."""
+    return ValueError(f'{where}: missing key "{err.args[0]}"' if isinstance(err, KeyError) else f"{where}: {err}")
 
 
 def write_json(obj, path) -> None:

@@ -14,14 +14,19 @@ above CHAOS_EXPONENT = 0.02 the parameter is chaotic at once. Otherwise
 the burn-in grows tenfold up to MAX_BURN_IN = 10^6, as the orbits near the
 cascade's accumulation point need: they converge slowly and their burn-in
 exponent lies just below 0.
+
+A sweep (`attractors`) runs that first stage in lockstep, estimating each
+exponent as it runs; `_burn_in_exponent` decides where the estimate cannot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import _check_integer, _check_positive
 from .errors import ParameterOutOfRange
@@ -31,6 +36,9 @@ BURN_IN = 10_000
 MAX_BURN_IN = 1_000_000
 CHAOS_EXPONENT = 0.02
 _DETECT_TOL = 1e-5
+_CHUNK = 256  # parameters per lockstep
+_LAG_CELLS = 1 << 13  # differences per block of the lag test
+_ESTIMATE_MARGIN = 1e-9  # the lockstep estimate decides only this far from CHAOS_EXPONENT
 MAX_PERIODS = (1, 2, 4, 8, 16, 32, 64)  # the accepted max_period values
 
 # Exactly at a doubling parameter the cycle equation has a multiple root
@@ -129,15 +137,23 @@ def _primitive_period(pts: np.ndarray, tol: float) -> int:
     return next((q for q in range(1, p) if p % q == 0 and abs(pts[q] - pts[0]) <= tol), p)
 
 
-# Not folded into the burn-in: keeping its 10^4 iterates costs 0.86 ms where
-# `iterate` takes 0.41 ms (Xeon, Python 3.11), nearly doubling every periodic
-# parameter (0.52 ms at a = 3.2) to spare a chaotic one (1.69 ms, a = 3.9) one pass.
+# The scalar first stage's verdict, and the oracle and exact fallback of a sweep's lockstep estimate.
 def _burn_in_exponent(a: float) -> float:
     """Finite-time Lyapunov exponent: the mean of log|a (1 - 2x)| over the
     BURN_IN iterates x_1, x_2, ... of x_0 = 0.5 (-inf if one of them is 0.5)."""
     xs = _cycle_points(a, logistic(a, 0.5), BURN_IN)
     with np.errstate(divide="ignore"):
         return float(np.mean(np.log(np.abs(a * (1.0 - 2.0 * xs)))))
+
+
+def _checked(a: float, max_period: int, orbit_tol: float) -> float:
+    """a as a float, once a, orbit_tol and max_period pass their checks, in that order."""
+    a = _validate_parameter(a)
+    _check_positive(orbit_tol, "orbit_tol")
+    _check_integer(max_period, "max_period")
+    if max_period not in MAX_PERIODS:
+        raise ValueError(f"max_period must be a power of 2 at most {MAX_PERIODS[-1]}")
+    return a
 
 
 def logistic_attractor(
@@ -155,30 +171,74 @@ def logistic_attractor(
     converging parameters near the bifurcation points) until MAX_BURN_IN,
     after which the result is Chaotic: no stable period <= max_period.
     """
-    a = _validate_parameter(a)
-    _check_positive(orbit_tol, "orbit_tol")
-    _check_integer(max_period, "max_period")
-    if max_period not in MAX_PERIODS:
-        raise ValueError(f"max_period must be a power of 2 at most {MAX_PERIODS[-1]}")
+    return _escalate(_checked(a, max_period, orbit_tol), 0.5, 0, max_period, orbit_tol)
 
-    window_len = 9 * max_period  # 4*max_period comparisons at every lag
-    total = 0
-    steps = BURN_IN
-    x = 0.5
+
+def attractors(params, max_period: int = MAX_PERIODS[-1], orbit_tol: float = DEFAULT_ORBIT_TOL) -> list:
+    """[logistic_attractor(a, max_period, orbit_tol) for a in params], bad input included."""
+    values = [_checked(a, max_period, orbit_tol) for a in params]
+    result: list[PeriodicOrbit | Chaotic] = []
+    for chunk in np.array_split(np.array(values), -(-len(values) // _CHUNK)) if values else ():
+        window, est = _lockstep(chunk, 9 * max_period)
+        for a, seed, e, res in zip(chunk.tolist(), window[-1].tolist(), est.tolist(), _lag_residuals(window, max_period)):
+            orbit = _locked_orbit(a, res, seed, orbit_tol)
+            if orbit is None:
+                if not (math.isfinite(e) and abs(e - CHAOS_EXPONENT) > _ESTIMATE_MARGIN):
+                    e = _burn_in_exponent(a)
+                x = logistic(a, seed)
+                orbit = Chaotic(a, max_period) if e > CHAOS_EXPONENT else _escalate(a, x, BURN_IN, max_period, orbit_tol)
+            result.append(orbit)
+    return result
+
+
+def _lockstep(a: np.ndarray, window_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """BURN_IN steps of x -> (a x)(1 - x) from 0.5 for all parameters a at once: the
+    (window_len, len(a)) window that follows, and the estimate of `_burn_in_exponent`,
+    log a + the mean of log|1 - 2x| over x_1..x_BURN_IN. 1 - 2x = 2 (0.5 - x) exactly, and
+    each 0.5 - x is 0 or in [2^-54, 0.5], so their product, renormalised every 16 steps, stays normal."""
+    x, t, prod, scale = np.full(a.shape, 0.5), np.empty(a.shape), np.ones(a.shape), np.full(a.shape, BURN_IN)
+    for _ in range(BURN_IN // 16):
+        for _ in range(16):
+            np.multiply(a, x, out=t)
+            np.subtract(1.0, x, out=x)
+            np.multiply(t, x, out=x)
+            np.multiply(prod, np.subtract(0.5, x, out=t), out=prod)
+        prod, exp = np.frexp(prod)
+        scale += exp
+    window = np.empty((window_len,) + a.shape)
+    for k in range(window_len):
+        window[k] = x
+        x = a * x * (1.0 - x)
+    with np.errstate(divide="ignore"):
+        return window, (np.log(np.abs(prod)) + scale * math.log(2.0)) / BURN_IN + np.log(a)
+
+
+def _lag_residuals(window: np.ndarray, max_period: int) -> np.ndarray:
+    """Entry (..., p - 1): max |x_(k+p) - x_k| over the last 4 max_period x_(k+p) of each window column."""
+    v = sliding_window_view(window[-5 * max_period:], 4 * max_period, axis=0)[::-1]  # the tail, then lag p at p
+    step = max(1, _LAG_CELLS // v[0].size)  # lags per block of differences
+    return np.concatenate([np.max(np.abs(v[0] - v[i:i + step]), axis=-1) for i in range(1, len(v), step)]).T
+
+
+def _locked_orbit(a: float, residuals: np.ndarray, seed: float, orbit_tol: float) -> PeriodicOrbit | None:
+    """The first stable orbit that a locked lag polishes to from seed, smallest lag first."""
+    orbits = (_polish_orbit(a, p + 1, seed, orbit_tol) for p in np.flatnonzero(residuals <= _DETECT_TOL).tolist())
+    return next((orbit for orbit in orbits if orbit is not None), None)
+
+
+def _escalate(a: float, x: float, total: int, max_period: int, orbit_tol: float) -> PeriodicOrbit | Chaotic:
+    """The search of `logistic_attractor` from state x after total (0 or BURN_IN) burn-in steps."""
     while True:
-        x = iterate(a, x, steps)
+        steps = total * 9 or BURN_IN  # decade-wise extension for slow convergence
         total += steps
-        window = _cycle_points(a, x, window_len)
-        x = logistic(a, float(window[-1]))
-        for p in range(1, max_period + 1):
-            tail = window[-(4 * max_period + p):]
-            if np.max(np.abs(tail[p:] - tail[:-p])) <= _DETECT_TOL:
-                orbit = _polish_orbit(a, p, float(window[-1]), orbit_tol)
-                if orbit is not None:
-                    return orbit
+        window = _cycle_points(a, iterate(a, x, steps), 9 * max_period)
+        seed = float(window[-1])
+        orbit = _locked_orbit(a, _lag_residuals(window, max_period), seed, orbit_tol)
+        if orbit is not None:
+            return orbit
         if total >= MAX_BURN_IN or (total == BURN_IN and _burn_in_exponent(a) > CHAOS_EXPONENT):
             return Chaotic(parameter=a, max_period=max_period)
-        steps = total * 9  # decade-wise extension for slow convergence
+        x = logistic(a, seed)
 
 
 def _cycle_points(a: float, root: float, p: int) -> np.ndarray:

@@ -24,8 +24,8 @@ from .logistic import (
     Chaotic,
     PeriodicOrbit,
     _validate_parameter,
+    attractors,
     bifurcation_points,
-    logistic_attractor,
 )
 
 GAP_RATIO = 2.0
@@ -132,18 +132,17 @@ def branched_equilibrium_section(
     crosses the cascade parameter, otherwise the midpoint is used.
     """
     pts = as_point_array(grid)
-    params = np.empty(pts.shape[0])
-    fibers: list[Configuration | None] = []
-    for i, g in enumerate(pts):
-        try:
-            params[i] = _validate_parameter(a_field(g))
-        except ParameterOutOfRange as err:
-            raise ParameterOutOfRange(f"grid point {i}: {err}") from None
-        att = logistic_attractor(params[i], max_period=max_period, orbit_tol=orbit_tol)
-        if isinstance(att, Chaotic):
-            fibers.append(None)
-        else:
-            fibers.append(Configuration([[x] for x in att.points]))
+
+    def field():
+        for i, g in enumerate(pts):
+            try:
+                yield _validate_parameter(a_field(g))
+            except ParameterOutOfRange as err:
+                raise ParameterOutOfRange(f"grid point {i}: {err}") from None
+
+    atts = attractors(field(), max_period, orbit_tol)
+    params = np.array([att.parameter for att in atts])
+    fibers = [None if isinstance(att, Chaotic) else Configuration([[x] for x in att.points]) for att in atts]
 
     sample = BranchedSectionSample(pts, tuple(fibers), params)
 
@@ -261,9 +260,5 @@ def bifurcation_rows(
     """(parameter, orbit point) rows of the attractor sweep, for diagram
     plotting. Chaotic parameters contribute no rows."""
     _check_integer(steps, "steps", 2)
-    rows: list[tuple[float, float]] = []
-    for a in np.linspace(a_min, a_max, steps):
-        att = logistic_attractor(float(a), max_period=max_period, orbit_tol=orbit_tol)
-        if isinstance(att, PeriodicOrbit):
-            rows.extend((float(a), float(x)) for x in att.points)
-    return rows
+    atts = attractors(np.linspace(a_min, a_max, steps).tolist(), max_period, orbit_tol)
+    return [(att.parameter, x) for att in atts if isinstance(att, PeriodicOrbit) for x in att.points]

@@ -427,6 +427,11 @@ NAMED_SHAPE = [
     (["branched-path", "--input", "{bad}"], {"stages": 5}, '"stages" must be a list of stages, got int'),
     (["branched-path", "--input", "{bad}"], {"stages": [[SEGMENT_1D, None]]},
      'stages[0][1]: expected a segment object with "samples", got null'),
+    # a missing top-level key, which used to read as Python's bare 'stages'
+    (["branched-path", "--input", "{bad}"], {}, 'missing key "stages"'),
+    (["simulate", "--input", "{bad}"], {"frames": []}, 'missing key "times"'),
+    (["measure", "--frames", "{frames}", "--region", "{bad}"], {k: GOOD_GRID[k] for k in ("dims", "h", "values")},
+     'missing key "origin"'),
 ]
 
 

@@ -1,9 +1,12 @@
 import math
+import re
 import sys
 import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from branchspace import (
     Chaotic,
@@ -18,8 +21,11 @@ from branchspace.logistic import (
     DEFAULT_ORBIT_TOL,
     MAX_BURN_IN,
     _DETECT_TOL,
+    _burn_in_exponent,
     _continued,
+    _lockstep,
     _polish_orbit,
+    attractors,
     logistic,
 )
 
@@ -357,3 +363,106 @@ def test_early_verdict_replaces_escalation_only_for_clear_chaos(monkeypatch):
     att, seen = stages(LATE_LOCK)
     assert att.period == 64 and abs(att.multiplier) <= 1.0
     assert sum(seen) == MAX_BURN_IN
+
+
+# ---------------------------------------------------------------------------
+# lockstep sweep
+# ---------------------------------------------------------------------------
+
+def scalar_attractors(params, max_period=64, orbit_tol=DEFAULT_ORBIT_TOL):
+    """The oracle of `attractors`: one scalar call per parameter."""
+    return [logistic_attractor(a, max_period, orbit_tol) for a in params]
+
+
+NAMED = (
+    4.0,
+    *WINDOW_EDGES,
+    *[c + s * 1e-9 for c in bifurcation_points(6) for s in (-1, 1)],
+    3.6551825912956475,
+    3.597026171875,
+    LATE_LOCK,
+)
+
+
+def test_attractors_equal_the_scalar_attractor_on_named_inputs():
+    assert attractors(NAMED) == scalar_attractors(NAMED)
+
+
+parameters = st.floats(min_value=0.0, max_value=4.0, exclude_min=True)
+
+
+# no shrinking: each try of a long list takes a second, so shrinking a failure took minutes
+@pytest.mark.parametrize("size", [1, 2, 256, 257, 513])
+@settings(max_examples=4, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate],
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(data=st.data())
+def test_attractors_equal_the_scalar_attractor_across_chunks(size, data):
+    # 256 parameters make one chunk, 257 two and 513 three
+    params = data.draw(st.lists(parameters, min_size=size, max_size=size))
+    assert attractors(params) == scalar_attractors(params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(parameters, min_size=1, max_size=64))
+def test_the_lockstep_exponent_estimate_is_within_1e_12_of_the_burn_in_exponent(params):
+    estimate = _lockstep(np.array(params), 9)[1]
+    exact = np.array([_burn_in_exponent(a) for a in params])
+    finite = np.isfinite(exact)
+    assert np.array_equal(np.isfinite(estimate), finite)
+    assert np.all(np.abs(estimate[finite] - exact[finite]) <= 1e-12)
+
+
+def test_a_wide_margin_sends_every_verdict_to_the_burn_in_exponent(monkeypatch):
+    module = sys.modules["branchspace.logistic"]
+    params = [float(a) for a in np.linspace(3.57, 4.0, 40)] + [2.0, 3.9, 4.0]
+    calls = []
+    monkeypatch.setattr(module, "_burn_in_exponent", lambda a: calls.append(a) or _burn_in_exponent(a))
+    expected = scalar_attractors(params)
+    scalar_calls, calls[:] = calls[:], []
+    monkeypatch.setattr(module, "_ESTIMATE_MARGIN", math.inf)
+    assert attractors(params) == expected
+    # once for every parameter that locks in no orbit in its first stage
+    assert calls == scalar_calls and len(calls) > len(params) // 2
+
+
+def test_the_chaotic_band_escalates_eleven_parameters_and_never_recomputes_an_exponent(monkeypatch):
+    from branchspace.sections import bifurcation_rows
+
+    module = sys.modules["branchspace.logistic"]
+    escalated, exponents = {}, []
+    real_iterate = module.iterate
+
+    def counting_iterate(a, x, n):
+        escalated[a] = escalated.get(a, 0) + n
+        return real_iterate(a, x, n)
+
+    monkeypatch.setattr(module, "iterate", counting_iterate)
+    monkeypatch.setattr(module, "_burn_in_exponent", lambda a: exponents.append(a) or _burn_in_exponent(a))
+    bifurcation_rows(3.57, 4.0, 2000)
+    # the first stage runs in lockstep; only escalation iterates one parameter
+    assert sorted(escalated.values()) == [MAX_BURN_IN - BURN_IN] * 11
+    assert sum(escalated.values()) == 10_890_000
+    assert exponents == []
+
+
+BAD_SEARCHES = [
+    ([0.0, 3.2], 64, math.nan),  # the first parameter is checked first
+    ([3.2, 5.0], 64, math.nan),  # then the search settings
+    ([3.2, 5.0], 3, DEFAULT_ORBIT_TOL),
+    ([3.2, 5.0], 64, DEFAULT_ORBIT_TOL),  # then each further parameter
+    ([3.2, math.nan], True, DEFAULT_ORBIT_TOL),
+    ([3.2, 4.0, -1.0], 64, DEFAULT_ORBIT_TOL),
+    (["x"], 64, DEFAULT_ORBIT_TOL),
+]
+
+
+@pytest.mark.parametrize("params, max_period, orbit_tol", BAD_SEARCHES)
+def test_bad_input_raises_what_the_scalar_calls_raise_first(params, max_period, orbit_tol):
+    with pytest.raises(Exception) as expected:
+        scalar_attractors(params, max_period, orbit_tol)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        attractors(params, max_period, orbit_tol)
+
+
+def test_an_empty_sweep_checks_no_setting():
+    assert attractors([], max_period=3, orbit_tol=math.nan) == []

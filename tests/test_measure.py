@@ -344,5 +344,5 @@ def test_a_malformed_grid_file_is_named(tmp_path):
     with pytest.raises(ValueError, match=re.escape("short.txt: cannot reshape array of size 2 into shape (2,3)")):
         read_grid(tmp_path / "short.txt")
     (tmp_path / "bad.json").write_text('{"dims": [2], "h": 0.1, "values": [0, 0]}')
-    with pytest.raises(ValueError, match="bad.json: 'origin'"):
+    with pytest.raises(ValueError, match='bad.json: missing key "origin"'):
         read_grid(tmp_path / "bad.json")

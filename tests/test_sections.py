@@ -147,6 +147,9 @@ def test_a_sample_without_base_points_is_rejected():
         BranchedSectionSample(np.empty((0, 1)), ())
     with pytest.raises(ValueError, match="at least one base point"):
         branched_equilibrium_section(lambda p: 3.2, np.empty((0, 1)))
+    # with no base point no attractor is sought, so no setting is checked
+    with pytest.raises(ValueError, match="at least one base point"):
+        branched_equilibrium_section(lambda p: 3.2, np.empty((0, 1)), max_period=3, orbit_tol=math.nan)
 
 
 def test_a_sample_needs_one_fiber_and_one_parameter_per_base_point():
@@ -195,6 +198,11 @@ def test_sweeps_reject_a_bad_orbit_tolerance(orbit_tol):
         bifurcation_rows(2.5, 3.2, 8, orbit_tol=orbit_tol)
     with pytest.raises(ValueError, match="orbit_tol must be finite and positive"):
         branched_equilibrium_section(lambda p: 3.2, line_grid(3), orbit_tol=orbit_tol)
+    # the settings are checked with the first parameter, before the others
+    with pytest.raises(ValueError, match="orbit_tol must be finite and positive"):
+        bifurcation_rows(3.2, 5.0, 3, orbit_tol=orbit_tol)
+    with pytest.raises(ValueError, match="orbit_tol must be finite and positive"):
+        branched_equilibrium_section(lambda p: 5.0 if p[0] > 0.6 else 3.2, line_grid(4), orbit_tol=orbit_tol)
 
 
 def test_spin_states_over_3d_base_decompose():
